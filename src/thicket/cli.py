@@ -25,6 +25,7 @@ from .concepts import (
     ConceptClass,
     load_class,
     load_class_with_prior,
+    parse_rational,
     save_class,
 )
 from .generate import random_class, random_classes
@@ -34,7 +35,9 @@ from .learner import (
     exact_expected_queries,
     monte_carlo_trials,
 )
-from .littlestone import LdimCache, drop, ldim
+# drop is no longer called here; it stays importable as cli.drop, the
+# name perfbench/tracer.py wraps
+from .littlestone import LdimCache, drop, ldim  # noqa: F401
 from .querygraph import QueryGraph, find_deficient_cycle
 from .staged import FiniteFamily, IntervalFamily, staged_trials
 from .compression import certify_scheme
@@ -137,7 +140,7 @@ def cmd_learn_exact(args: argparse.Namespace) -> int:
 
 def _parse_ratio(text: str) -> Fraction:
     try:
-        ratio = Fraction(text)
+        ratio = parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"malformed prior ratio {text!r}") from None
     if not 0 < ratio < 1:
@@ -226,7 +229,12 @@ def _verify_one(cc: ConceptClass, max_cycle_len: int) -> list[dict[str, Any]]:
             a, b = cc.concepts[i], cc.concepts[j]
             for p in graph.diff_points(i, j):
                 point = cc.domain.points[p]
-                if drop(cc, a, point, cache) + drop(cc, b, point, cache) < 1:
+                # drop(cc, c, point) on the full mask, without re-encoding cc
+                drops = sum(
+                    d - cache.ldim_mask(cache.restrict_mask(mask, p, c.bits[p]))
+                    for c in (a, b)
+                )
+                if drops < 1:
                     blame(
                         "drop_sums",
                         f"drops at {point} for {cc.label(i)},{cc.label(j)} sum below 1",

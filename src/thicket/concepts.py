@@ -15,7 +15,8 @@ Class files are JSON documents of the form::
       "tau":      ["1/2", "1/2"]          // optional prior, used by `staged`
     }
 
-Weights are rational strings ("p/q" or an integer string). Concept
+Weights are rational strings: "p/q" or an integer, in ASCII digits with
+an optional leading sign; any other spelling is rejected. Concept
 bitstrings follow domain point order; the order of the "concepts" object
 is the canonical concept order of the loaded class.
 """
@@ -23,6 +24,7 @@ is the canonical concept order of the loaded class.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -229,11 +231,28 @@ _REQUIRED_KEYS = {"domain", "mu", "concepts"}
 _ALLOWED_KEYS = _REQUIRED_KEYS | {"tau"}
 
 
+# Only the documented spellings reach Fraction, which would also expand
+# exponents ("1e-99999999") into integers of any size. Python's limit on
+# the digits of an int bounds the sizes this grammar admits.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """An exact rational from "p/q" or an integer string.
+
+    Raises ValueError for any other spelling and ZeroDivisionError for a
+    zero denominator.
+    """
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational string: {text!r}")
+    return Fraction(text)
+
+
 def _parse_weight(text: object, what: str) -> Fraction:
     if not isinstance(text, str):
         raise ClassFileError(f"{what} must be a rational string, got {text!r}")
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise ClassFileError(f"malformed {what} {text!r}") from None
 

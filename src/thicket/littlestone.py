@@ -9,11 +9,19 @@ equivalent restriction recursion
     ldim(C)         = max over splitting points x of
                       1 + min(ldim(C restricted to x=0), ldim(C restricted to x=1))
 
-with memoization over subclasses. Subclasses of one root class are
-encoded as bitmasks over the root's concept indices, so the same cache
-serves every caller that works on restrictions of that root: the query
-graph, the learner's expectation recursion, and the compression scheme
-all share one :class:`LdimCache`.
+with memoization over subclasses and two prunings that never change a
+value. The scan over splitting points stops once it reaches
+floor(log2 |C|), the largest dimension |C| concepts can have. Each
+split evaluates its side with fewer concepts first and skips the other
+side when 1 + ldim(that side) cannot beat the best split so far, since
+the minimum is at most either side. On a class of n singleton concepts
+the second pruning keeps the memo to about n entries, where the plain
+recursion visits about 2^n subclasses.
+
+Subclasses of one root class are encoded as bitmasks over the root's
+concept indices, so the same cache serves every caller that works on
+restrictions of that root: the query graph, the learner's expectation
+recursion, and the compression scheme all share one :class:`LdimCache`.
 """
 
 from __future__ import annotations
@@ -81,11 +89,18 @@ class LdimCache:
         upper = count.bit_length() - 1
         best = 0
         for zeros, ones in self._level_masks:
-            m0 = mask & zeros
-            if m0 == 0 or m0 == mask:
+            small = mask & zeros
+            if small == 0 or small == mask:
                 continue
-            m1 = mask & ones
-            candidate = 1 + min(self.ldim_mask(m0), self.ldim_mask(m1))
+            large = mask & ones
+            if large.bit_count() < small.bit_count():
+                small, large = large, small
+            # min(a, b) <= a: a smaller side that cannot beat best settles
+            # the split without its larger, costlier side
+            low = self.ldim_mask(small)
+            if low < best:
+                continue
+            candidate = 1 + min(low, self.ldim_mask(large))
             if candidate > best:
                 best = candidate
                 if best == upper:

@@ -17,10 +17,14 @@ Querying that maximizer therefore costs the adversary at least half a
 dimension level per counterexample in expectation, which is what bounds
 the learner's expected counterexample count by twice the dimension.
 
-:class:`QueryGraph` evaluates weights lazily, memoizes per subclass of a
-root class (subclasses encoded as index bitmasks, shared with
-:class:`~thicket.littlestone.LdimCache`), and exposes the max-min query
-choice with lowest-index tie-breaking.
+:class:`QueryGraph` works on subclasses of a root class, encoded as index
+bitmasks shared with :class:`~thicket.littlestone.LdimCache`, and exposes
+the max-min query choice with lowest-index tie-breaking. It scales mu
+exactly to integers once, computes weights lazily in integer arithmetic
+and returns them as Fractions. It memoizes the difference points and
+their mass per concept pair and the chosen query per subclass, but no
+weight: within one subclass the per-point dimension drops are shared
+across all edges instead.
 """
 
 from __future__ import annotations
@@ -48,6 +52,18 @@ class QueryGraph:
     All methods take a subclass bitmask (see LdimCache) so the learner
     can keep using one engine while it restricts the class; the module
     level functions below wrap the common whole-class case.
+
+    Weights are computed in integers. With L the least common multiple
+    of the mu denominators, each point carries the integer mass
+    m_p = mu(p) * L, and d(A, B) = N / D for
+
+        N = sum over p in diff(A, B) of m_p * (ldim(C) - ldim(C at p = B(p)))
+        D = sum over p in diff(A, B) of m_p
+
+    (L cancels). D depends only on the pair and is cached with its
+    difference points; N is rebuilt per subclass from per-point gains.
+    Query selection compares (N, D) pairs by cross-multiplication, so a
+    Fraction is built only when a weight or rank leaves the class.
     """
 
     def __init__(self, root: ConceptClass, cache: LdimCache | None = None) -> None:
@@ -55,55 +71,86 @@ class QueryGraph:
             raise ValueError("cache was built for a different root class")
         self.root = root
         self.cache = cache if cache is not None else LdimCache(root)
-        self._diffs: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._weights: dict[tuple[int, int, int], Fraction] = {}
+        mu = [Fraction(w) for w in root.domain.mu]
+        scale = math.lcm(*(w.denominator for w in mu))
+        self._mass = [w.numerator * (scale // w.denominator) for w in mu]
+        # gain slot 2p + v: a counterexample at point p labeled v
+        self._slot_masks = [
+            self.cache.level_mask(p, v) for p in range(len(mu)) for v in (0, 1)
+        ]
+        # per unordered pair: difference points and their integer mass D
+        self._diffs: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
         self._best: dict[int, int] = {}
 
-    def diff_points(self, i: int, j: int) -> tuple[int, ...]:
-        """Point indices where concepts i and j disagree (order-insensitive)."""
+    def _pair(self, i: int, j: int) -> tuple[tuple[int, ...], int]:
         key = (i, j) if i < j else (j, i)
         hit = self._diffs.get(key)
         if hit is None:
             a = self.root.concepts[key[0]].bits
             b = self.root.concepts[key[1]].bits
-            hit = tuple(p for p in range(len(a)) if a[p] != b[p])
+            points = tuple(p for p in range(len(a)) if a[p] != b[p])
+            hit = (points, sum(self._mass[p] for p in points))
             self._diffs[key] = hit
         return hit
+
+    def diff_points(self, i: int, j: int) -> tuple[int, ...]:
+        """Point indices where concepts i and j disagree (order-insensitive)."""
+        return self._pair(i, j)[0]
+
+    def _lightest(
+        self,
+        mask: int,
+        i: int,
+        targets: int,
+        gains: list[int | None],
+        floor: tuple[int, int] | None = None,
+    ) -> tuple[int, int]:
+        """Lightest edge from concepts[i] to a concept in `targets`,
+        within the subclass `mask`, as (N, D) scanned in index order.
+
+        (1, 0) stands for +inf when no target is left. `gains` holds the
+        subclass's numerator terms by slot, filled on first use. Once
+        the running minimum is at or below `floor` the scan stops and
+        returns it: such a concept cannot beat the incumbent.
+        """
+        cache = self.cache
+        here = cache.ldim_mask(mask)
+        mass, slot_masks, concepts = self._mass, self._slot_masks, self.root.concepts
+        best_n, best_d = 1, 0
+        rest = targets & ~(1 << i)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            points, den = self._pair(i, j)
+            target = concepts[j].bits
+            num = 0
+            for p in points:
+                s = 2 * p + target[p]
+                g = gains[s]
+                if g is None:
+                    g = gains[s] = mass[p] * (here - cache.ldim_mask(mask & slot_masks[s]))
+                num += g
+            if num * best_d < best_n * den:
+                best_n, best_d = num, den
+                if floor is not None and num * floor[1] <= floor[0] * den:
+                    break
+        return best_n, best_d
+
+    def _gains(self) -> list[int | None]:
+        return [None] * len(self._slot_masks)
 
     def weight(self, mask: int, i: int, j: int) -> Fraction:
         """d(concepts[i], concepts[j]) within the subclass `mask`."""
         if i == j:
             raise ValueError("edge weight is undefined for identical concepts")
-        key = (mask, i, j)
-        hit = self._weights.get(key)
-        if hit is not None:
-            return hit
-        cache = self.cache
-        d_here = cache.ldim_mask(mask)
-        mu = self.root.domain.mu
-        target_bits = self.root.concepts[j].bits
-        num = Fraction(0)
-        den = Fraction(0)
-        for p in self.diff_points(i, j):
-            w = mu[p]
-            sub = cache.restrict_mask(mask, p, target_bits[p])
-            num += w * (d_here - cache.ldim_mask(sub))
-            den += w
-        value = num / den
-        self._weights[key] = value
-        return value
+        num, den = self._lightest(mask, i, 1 << j, self._gains())
+        return Fraction(num, den)
 
     def rank(self, mask: int, i: int) -> Fraction | float:
         """Minimum outgoing weight of concepts[i]; +inf when it is alone."""
-        best: Fraction | float = math.inf
-        rest = mask & ~(1 << i)
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            w = self.weight(mask, i, j)
-            if w < best:
-                best = w
-        return best
+        num, den = self._lightest(mask, i, mask, self._gains())
+        return Fraction(num, den) if den else math.inf
 
     def best_query(self, mask: int) -> int:
         """Index of the max-min query in the subclass, lowest index on ties."""
@@ -112,28 +159,18 @@ class QueryGraph:
         hit = self._best.get(mask)
         if hit is not None:
             return hit
+        gains = self._gains()
         best_i = -1
-        best_rank: Fraction | float | None = None
+        floor: tuple[int, int] | None = None
         todo = mask
         while todo:
-            i = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
-            rank: Fraction | float = math.inf
-            beaten = False
-            rest = mask & ~(1 << i)
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                w = self.weight(mask, i, j)
-                if w < rank:
-                    rank = w
-                    # a running minimum at or below the incumbent cannot win
-                    if best_rank is not None and rank <= best_rank:
-                        beaten = True
-                        break
-            if not beaten and (best_rank is None or rank > best_rank):
-                best_i = i
-                best_rank = rank
+            low = todo & -todo
+            todo ^= low
+            i = low.bit_length() - 1
+            num, den = self._lightest(mask, i, mask, gains, floor)
+            # a scan cut short ends at or below the incumbent; ties keep it
+            if floor is None or num * floor[1] > floor[0] * den:
+                best_i, floor = i, (num, den)
         self._best[mask] = best_i
         return best_i
 

@@ -5,6 +5,7 @@ definitions with no memoization, masks, or pruning, so they share no
 code path with the package under test.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -38,6 +39,20 @@ def ref_edge_weight(patterns, mu, i, j):
         kept = [c for c in patterns if c[p] == patterns[j][p]]
         acc += mu[p] * (base - ref_ldim(kept))
     return acc / total
+
+
+def ref_rank(patterns, mu, i):
+    """Minimum edge weight leaving pattern i; +inf when it is alone."""
+    return min(
+        (ref_edge_weight(patterns, mu, i, j) for j in range(len(patterns)) if j != i),
+        default=math.inf,
+    )
+
+
+def ref_max_min(patterns, mu):
+    """Index of the pattern of maximal rank, the lowest index on ties."""
+    ranks = [ref_rank(patterns, mu, i) for i in range(len(patterns))]
+    return ranks.index(max(ranks))
 
 
 def ref_lowest_index_expected_queries(patterns, mu, t, alive=None):

@@ -60,6 +60,23 @@ def test_malformed_file_diagnostic(capsys, tmp_path):
     assert err.strip()
 
 
+def test_exponent_weight_is_malformed(capsys, tmp_path):
+    # Fraction would expand the exponent into a 10**99999999 denominator
+    p = tmp_path / "exp.json"
+    p.write_text('{"domain":["a","b"],"mu":["1e-99999999","1"],"concepts":{"A":"01"}}')
+    code, out, err = run(capsys, ["ldim", "--class", str(p)])
+    assert code == 3
+    assert not out
+    assert "malformed weight" in err
+
+
+def test_exponent_prior_ratio_is_usage_error(capsys):
+    code, out, err = run(capsys, ["staged", "--prior-geometric", "1e-99999999"])
+    assert code == 2
+    assert not out
+    assert "malformed prior ratio" in err
+
+
 def test_unknown_target_is_usage_error(capsys, c3_file):
     code, _, err = run(capsys, ["learn-exact", "--class", c3_file, "--target", "Z"])
     assert code == 2

@@ -128,3 +128,14 @@ def test_restriction_never_raises_dimension(bits):
         for label in (0, 1):
             sub = restrict(cc, {point: label})
             assert ldim(sub, cache) <= base
+
+
+def test_singleton_class_memo_stays_small():
+    # every split leaves one concept on its 1-side, so once ldim 1 is
+    # reached no split can beat it; evaluated in full, the 0-sides
+    # reach about 2**n subclasses
+    n = 64
+    cc = mk_class(["0" * i + "1" + "0" * (n - 1 - i) for i in range(n)])
+    cache = LdimCache(cc)
+    assert ldim(cc, cache) == 1
+    assert len(cache._memo) <= n * n

@@ -1,5 +1,7 @@
 import math
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,7 +15,7 @@ from thicket import (
 )
 from thicket.generate import random_classes
 
-from helpers import c3, mk_class, ref_edge_weight
+from helpers import c3, mk_class, ref_edge_weight, ref_max_min, ref_rank
 
 HALF = Fraction(1, 2)
 
@@ -117,3 +119,42 @@ def test_rank_in_subclass_differs_from_root():
     # rank of A against the full class is 0, against {A, B} it is 1
     assert graph.rank(graph.cache.full_mask, 0) == 0
     assert graph.rank(0b011, 0) == 1
+
+
+# Weights over denominators with a large common multiple: 42 and 1806.
+MIXED_MU = (
+    ("1/2", "1/3", "1/7", "1/42"),
+    ("1/2", "1/3", "1/7", "1/43", "1/1806"),
+)
+
+
+def mixed_classes():
+    rng = random.Random(5077)
+    for mu in MIXED_MU:
+        n = len(mu)
+        patterns = ["".join(t) for t in product("01", repeat=n)]
+        for size in (3, 4, 5, 6):
+            for _ in range(3):
+                yield mk_class(rng.sample(patterns, size), mu)
+    # every edge weighs the same in these two, so all ranks tie
+    yield mk_class(["0000", "0010", "0001", "0011"], MIXED_MU[0])
+    yield mk_class(["1000", "0100", "0010", "0001"], ("1/4",) * 4)
+
+
+def test_subclass_selection_matches_oracle_with_mixed_denominators():
+    ties = 0
+    for cc in mixed_classes():
+        graph = QueryGraph(cc)
+        mu = cc.domain.mu
+        for mask in range(1, graph.cache.full_mask + 1):
+            members = [i for i in range(len(cc)) if mask >> i & 1]
+            patterns = [cc.concepts[i].bits for i in members]
+            for a, i in enumerate(members):
+                for b, j in enumerate(members):
+                    if i != j:
+                        assert graph.weight(mask, i, j) == ref_edge_weight(patterns, mu, a, b)
+            ranks = [ref_rank(patterns, mu, a) for a in range(len(members))]
+            assert [graph.rank(mask, i) for i in members] == ranks
+            assert graph.best_query(mask) == members[ref_max_min(patterns, mu)]
+            ties += ranks.count(max(ranks)) > 1
+    assert ties > 0
