@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
 from .concepts import (
@@ -44,9 +45,26 @@ from .compression import certify_scheme
 
 __all__ = ["main"]
 
+# compress --verify replays every point subset of at most --max-sample-size
+# points; refuse more subsets than a full 16-point domain has
+MAX_REPLAY_SUBSETS = 2**16
+
 
 class UsageError(Exception):
     """Bad flag combination or value; maps to exit code 2."""
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -194,6 +212,13 @@ def cmd_compress(args: argparse.Namespace) -> int:
     )
     payload["seed"] = None
     if args.verify:
+        n = len(cc.domain)
+        subsets = sum(math.comb(n, k) for k in range(min(args.max_sample_size or n, n) + 1))
+        if subsets > MAX_REPLAY_SUBSETS:
+            raise UsageError(
+                f"{subsets} point subsets to replay exceed {MAX_REPLAY_SUBSETS};"
+                " bound them with --max-sample-size"
+            )
         report = certify_scheme(cc, args.max_sample_size)
         payload["report"] = report.as_dict()
         _report(payload, args.output)
@@ -359,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="seeded Monte Carlo learning runs")
     p.add_argument("--class", dest="class_file", required=True)
     p.add_argument("--target", required=True, help="target concept label")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     add_output(p)
@@ -382,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="1/2",
         help="success ratio of the geometric prior for the interval family",
     )
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stage-cap", type=int, default=30)
+    p.add_argument("--stage-cap", type=_int_at_least(1), default=30)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     add_output(p)
     p.set_defaults(func=cmd_staged)
@@ -396,24 +421,24 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="replay every realizable sample through the scheme",
     )
-    p.add_argument("--max-sample-size", type=int, default=None)
+    p.add_argument("--max-sample-size", type=_int_at_least(1), default=None)
     add_output(p)
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("verify", help="exact property checks over classes")
     p.add_argument("--class", dest="class_file", default=None)
-    p.add_argument("--random-classes", type=int, default=None)
-    p.add_argument("--max-domain", type=int, default=5)
-    p.add_argument("--max-concepts", type=int, default=8)
-    p.add_argument("--max-cycle-len", type=int, default=5)
+    p.add_argument("--random-classes", type=_int_at_least(1), default=None)
+    p.add_argument("--max-domain", type=_int_at_least(1), default=5)
+    p.add_argument("--max-concepts", type=_int_at_least(1), default=8)
+    p.add_argument("--max-cycle-len", type=_int_at_least(2), default=5)
     p.add_argument("--seed", type=int, default=0)
     add_output(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="emit a seeded random class file")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--concepts", type=int, required=True)
+    p.add_argument("--points", type=_int_at_least(1), required=True)
+    p.add_argument("--concepts", type=_int_at_least(1), required=True)
     add_output(p)
     p.set_defaults(func=cmd_gen)
 
@@ -429,10 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"thicket {args.command}: {exc}", file=sys.stderr)
         return 2
-    except ClassValidationError as exc:
-        print(f"thicket {args.command}: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ClassValidationError, OSError) as exc:
         print(f"thicket {args.command}: {exc}", file=sys.stderr)
         return 3
     finally:

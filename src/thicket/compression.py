@@ -21,8 +21,12 @@ empty runs and one-point encodings; the label that keeps the class
 dimension at the repeated point (at most one exists) settles who decodes
 what.
 
-`certify_scheme` replays every realizable sample of every nonempty point
-subset through compression and reconstruction and reports violations,
+The scheme runs once, on indices: a class is a concept mask of an
+:class:`LdimCache` root, a sample its point indices with label bits
+(bit p is the label at point p), and a decoder returns label bits.
+`greedy_run`, `compress` and `build_reconstructors` wrap this core with
+point names. `certify_scheme` drives it directly over the distinct
+``concept_bits & S`` of every point mask S and reports violations,
 none of which should exist.
 """
 
@@ -32,8 +36,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Callable, Sequence
 
-from .concepts import Concept, ConceptClass, PartialAssignment
-from .littlestone import LdimCache, canonical_partial
+from .concepts import ClassValidationError, Concept, ConceptClass, PartialAssignment
+from .littlestone import LdimCache, _cache_for
 
 __all__ = [
     "CompressionReport",
@@ -46,21 +50,140 @@ __all__ = [
 ]
 
 Reconstructor = Callable[[Sequence[str]], Concept]
+Decoder = Callable[[tuple[int, ...]], int]
 
 
-def _check_sample(concept_class: ConceptClass, sample: PartialAssignment) -> None:
+def _point_bits(concept: Concept) -> int:
+    """The concept's labels as a bitmask over point indices."""
+    return sum(b << p for p, b in enumerate(concept.bits))
+
+
+def _realizers(cache: LdimCache, mask: int, points: Sequence[int], key: int) -> int:
+    """The concepts of `mask` agreeing with label bits `key` on `points`."""
+    for p in points:
+        mask &= cache.level_mask(p, key >> p & 1)
+    return mask
+
+
+def _greedy(
+    cache: LdimCache, mask: int, d: int, points: Sequence[int], key: int
+) -> tuple[list[int], list[int], bool]:
+    """The greedy pass over ascending sample points: the points pinned with
+    labels 1 and 0, in the order chosen, and whether all d steps ran."""
+    ldim = cache.ldim_mask
+    pins = [(p, cache.level_mask(p, key >> p & 1)) for p in points]
+    ones: list[int] = []
+    zeros: list[int] = []
+    here = d
+    for _ in range(d):
+        for p, agree in pins:
+            sub = mask & agree
+            low = ldim(sub)
+            if low < here:
+                break
+        else:
+            # every labeled restriction keeps the dimension: exceptional
+            return ones, zeros, False
+        (ones if key >> p & 1 else zeros).append(p)
+        mask, here = sub, low
+    return ones, zeros, True
+
+
+def _compress(
+    cache: LdimCache, mask: int, d: int, points: Sequence[int], key: int
+) -> tuple[int, ...]:
+    """Compress on indices; see `compress` for the padding."""
+    ones, zeros, completed = _greedy(cache, mask, d, points, key)
+    if completed:
+        return tuple(ones + zeros)
+    if ones:
+        out, pad = ones + [ones[0]] + zeros, ones[0]
+    elif zeros:
+        out, pad = zeros + [zeros[0]], zeros[0]
+    else:
+        out, pad = [], points[0]
+    return tuple(out + [pad] * (d - len(out)))
+
+
+def _index_decoders(cache: LdimCache, mask: int) -> tuple[Decoder, ...]:
+    """rho_0 .. rho_d of the class `mask`, on tuples of d point indices.
+
+    Each returns label bits; the lowest-index concept of the class is the
+    fallback answer.
+    """
+    d = cache.ldim_mask(mask)
+    level = cache.level_mask
+    bits = [_point_bits(c) for c in cache.root.concepts]
+    default = bits[(mask & -mask).bit_length() - 1]
+    canon_memo: dict[int, int] = {0: default}
+    # the class's canonical labeling is the label keeping d at each point
+    stable, stable_ones = cache.canonical_mask(mask)
+
+    def canon(sub: int) -> int:
+        """Canonical partial labeling of the subclass, extended by 0."""
+        if sub not in canon_memo:
+            canon_memo[sub] = cache.canonical_mask(sub)[1]
+        return canon_memo[sub]
+
+    def restrict_all(points: Sequence[int], label: int, sub: int) -> int:
+        for p in points:
+            sub &= level(p, label)
+        return sub
+
+    def make_rho(i: int) -> Decoder:
+        def rho(points: tuple[int, ...]) -> int:
+            distinct = len(set(points))
+            if distinct == d and d != 1:
+                sub = restrict_all(points[i:], 0, restrict_all(points[:i], 1, mask))
+                return bits[(sub & -sub).bit_length() - 1] if sub else default
+            # split (ones..., marker, zeros..., pads...) back into blocks; an
+            # all-equal tuple reads as one pinned point unless it repeats
+            # the point's stable label, which marks an exceptional empty run
+            marks = [k for k, p in enumerate(points) if p == points[0]] + [d, d]
+            if i > 1 or marks[1] == d and distinct > 1:
+                return default
+            head = points[0]
+            if distinct == 1 and stable >> head & 1 and (stable_ones >> head & 1) == i:
+                return canon(mask)
+            ones, zeros = points[: marks[1]], points[marks[1] + 1 : marks[2]]
+            if i == 1:
+                return canon(restrict_all(zeros, 0, restrict_all(ones, 1, mask)))
+            # rho_0 reads the whole pre-duplicate block as negative
+            return canon(restrict_all(ones, 0, mask))
+
+        return rho
+
+    return tuple(make_rho(i) for i in range(d + 1))
+
+
+def _root(concept_class: ConceptClass, cache: LdimCache | None) -> tuple[LdimCache, int]:
+    """The class as a cache and concept mask; the empty class has no scheme."""
     if len(concept_class) == 0:
-        raise ValueError("the empty class has no compression scheme")
+        raise ClassValidationError("the empty class has no compression scheme")
+    return _cache_for(concept_class, cache)
+
+
+def _index_sample(
+    concept_class: ConceptClass,
+    sample: PartialAssignment,
+    cache: LdimCache | None,
+) -> tuple[LdimCache, int, int, list[int], int]:
+    """Validate a named sample; return the arguments of the index core."""
+    cache, mask = _root(concept_class, cache)
     if not sample:
         raise ValueError("cannot compress an empty sample")
+    points: list[int] = []
+    key = 0
     for point, label in sample.items():
-        concept_class.domain.index(point)
+        p = concept_class.domain.index(point)
         if label not in (0, 1):
             raise ValueError(f"sample labels must be 0 or 1, got {label!r}")
-    if not any(
-        all(c.value(p) == v for p, v in sample.items()) for c in concept_class.concepts
-    ):
+        points.append(p)
+        key |= label << p
+    points.sort()
+    if _realizers(cache, mask, points, key) == 0:
         raise ValueError("sample is not realizable by the class")
+    return cache, mask, cache.ldim_mask(mask), points, key
 
 
 @dataclass(frozen=True)
@@ -84,29 +207,11 @@ def greedy_run(
     cache: LdimCache | None = None,
 ) -> GreedyRun:
     """Run the greedy dimension-dropping pass; see the module docstring."""
-    _check_sample(concept_class, sample)
-    if cache is None:
-        cache = LdimCache(concept_class)
-    mask = cache.mask_of(concept_class)
-    d = cache.ldim_mask(mask)
-    domain = concept_class.domain
-    in_sample = [(p, domain.index(p), sample[p]) for p in domain.points if p in sample]
-    ones: list[str] = []
-    zeros: list[str] = []
-    for _ in range(d):
-        here = cache.ldim_mask(mask)
-        chosen = None
-        for point, p, label in in_sample:
-            sub = cache.restrict_mask(mask, p, label)
-            if cache.ldim_mask(sub) < here:
-                chosen = (point, label, sub)
-                break
-        if chosen is None:
-            # every labeled restriction keeps the dimension: exceptional
-            return GreedyRun(tuple(ones), tuple(zeros), False)
-        point, label, mask = chosen
-        (ones if label == 1 else zeros).append(point)
-    return GreedyRun(tuple(ones), tuple(zeros), True)
+    ones, zeros, completed = _greedy(*_index_sample(concept_class, sample, cache))
+    names = concept_class.domain.points
+    return GreedyRun(
+        tuple(names[p] for p in ones), tuple(names[p] for p in zeros), completed
+    )
 
 
 def compress(
@@ -122,20 +227,8 @@ def compress(
     (zeros..., zeros[0], zeros[0]...), and an immediate halt repeats the
     first sample point in domain order d times.
     """
-    if cache is None:
-        cache = LdimCache(concept_class)
-    run = greedy_run(concept_class, sample, cache)
-    d = cache.ldim_mask(cache.mask_of(concept_class))
-    if run.completed:
-        return run.ones + run.zeros
-    if run.ones:
-        out = run.ones + (run.ones[0],) + run.zeros
-        return out + (run.ones[0],) * (d - len(out))
-    if run.zeros:
-        out = run.zeros + (run.zeros[0],)
-        return out + (run.zeros[0],) * (d - len(out))
-    first = next(p for p in concept_class.domain.points if p in sample)
-    return (first,) * d
+    tup = _compress(*_index_sample(concept_class, sample, cache))
+    return tuple(concept_class.domain.points[p] for p in tup)
 
 
 def build_reconstructors(
@@ -148,125 +241,22 @@ def build_reconstructors(
     nonempty sample f, at least one of them satisfies
     rho(compress(C, f)) restricted to dom(f) == f.
     """
-    if len(concept_class) == 0:
-        raise ValueError("the empty class has no compression scheme")
-    if cache is None:
-        cache = LdimCache(concept_class)
-    root_mask = cache.mask_of(concept_class)
-    d = cache.ldim_mask(root_mask)
+    cache, mask = _root(concept_class, cache)
+    decoders = _index_decoders(cache, mask)
+    d = len(decoders) - 1
     domain = concept_class.domain
-    concepts = concept_class.concepts
-    if d == 0:
-        only = concepts[0]
 
-        def rho_trivial(points: Sequence[str]) -> Concept:
-            if len(points) != 0:
-                raise ValueError("expected an empty tuple for a dimension-0 class")
-            return only
-
-        return (rho_trivial,)
-
-    default = concepts[0]
-    canon_cache: dict[int, Concept | None] = {}
-
-    def canon_extension(mask: int) -> Concept | None:
-        """Canonical partial labeling of the subclass, extended by 0."""
-        if mask in canon_cache:
-            return canon_cache[mask]
-        if mask == 0:
-            canon_cache[mask] = None
-            return None
-        sub = ConceptClass(
-            domain,
-            tuple(c for i, c in enumerate(concepts) if mask >> i & 1),
-        )
-        partial = canonical_partial(sub, cache)
-        out = Concept(domain, tuple(partial.get(p, 0) for p in domain.points))
-        canon_cache[mask] = out
-        return out
-
-    def lowest(mask: int) -> Concept | None:
-        if mask == 0:
-            return None
-        return concepts[(mask & -mask).bit_length() - 1]
-
-    def restrict_all(points: Sequence[str], label: int, mask: int) -> int:
-        for p in points:
-            mask = cache.restrict_mask(mask, domain.index(p), label)
-        return mask
-
-    def stable_label(point: str) -> int | None:
-        """The label keeping the class dimension at `point`, if any."""
-        p = domain.index(point)
-        for label in (0, 1):
-            sub = cache.restrict_mask(root_mask, p, label)
-            if cache.ldim_mask(sub) == d:
-                return label
-        return None
-
-    def decode_positive_block(points: Sequence[str]) -> tuple[list[str], list[str]] | None:
-        """Split (ones..., marker, zeros..., pads...) back into blocks."""
-        head = points[0]
-        second = None
-        for k in range(1, len(points)):
-            if points[k] == head:
-                second = k
-                break
-        if second is None:
-            return None
-        ones = list(points[:second])
-        zeros: list[str] = []
-        for k in range(second + 1, len(points)):
-            if points[k] == head:
-                break
-            zeros.append(points[k])
-        return ones, zeros
-
-    def make_rho(i: int) -> Reconstructor:
+    def named(decode: Decoder) -> Reconstructor:
         def rho(points: Sequence[str]) -> Concept:
             points = tuple(points)
             if len(points) != d:
                 raise ValueError(f"expected a tuple of {d} points, got {len(points)}")
-            for p in points:
-                domain.index(p)
-            distinct = len(set(points))
-            if distinct == 1:
-                point = points[0]
-                if i > 1:
-                    return default
-                if stable_label(point) == i:
-                    found = canon_extension(root_mask)
-                else:
-                    found = canon_extension(
-                        cache.restrict_mask(root_mask, domain.index(point), i)
-                    )
-                return found if found is not None else default
-            if distinct < d:
-                if i == 1:
-                    blocks = decode_positive_block(points)
-                    if blocks is None:
-                        return default
-                    ones, zeros = blocks
-                    mask = restrict_all(zeros, 0, restrict_all(ones, 1, root_mask))
-                    found = canon_extension(mask)
-                    return found if found is not None else default
-                if i == 0:
-                    blocks = decode_positive_block(points)
-                    if blocks is None:
-                        return default
-                    # the whole pre-duplicate block is negatively labeled
-                    zeros = blocks[0]
-                    found = canon_extension(restrict_all(zeros, 0, root_mask))
-                    return found if found is not None else default
-                return default
-            mask = restrict_all(points[:i], 1, root_mask)
-            mask = restrict_all(points[i:], 0, mask)
-            found = lowest(mask)
-            return found if found is not None else default
+            bits = decode(tuple(domain.index(p) for p in points))
+            return Concept(domain, tuple(bits >> p & 1 for p in range(len(domain))))
 
         return rho
 
-    return tuple(make_rho(i) for i in range(d + 1))
+    return tuple(named(decode) for decode in decoders)
 
 
 @dataclass(frozen=True)
@@ -298,46 +288,46 @@ def certify_scheme(
     """Compress and reconstruct every realizable sample, recording failures.
 
     Samples are restrictions of class concepts to nonempty point subsets
-    of size up to `max_sample_size` (the whole domain by default). A
-    sample fails when its tuple is not d of its own points or no
-    reconstructor returns a concept agreeing with it.
+    of size up to `max_sample_size` (the whole domain by default), taken
+    per subset in first-seen concept order. A sample fails when it is not
+    realizable, its tuple is not d of its own points, or no reconstructor
+    returns a concept agreeing with it.
     """
-    if len(concept_class) == 0:
-        raise ValueError("the empty class has no compression scheme")
-    cache = LdimCache(concept_class)
-    d = cache.ldim_mask(cache.full_mask)
-    rhos = build_reconstructors(concept_class, cache)
-    domain = concept_class.domain
-    limit = len(domain) if max_sample_size is None else max_sample_size
+    cache, mask = _root(concept_class, None)
+    n = len(concept_class.domain)
+    limit = n if max_sample_size is None else max_sample_size
     if limit < 1:
         raise ValueError("max_sample_size must be at least 1")
+    d = cache.ldim_mask(mask)
+    rhos = _index_decoders(cache, mask)
+    bits = [_point_bits(c) for c in concept_class.concepts]
+    names = concept_class.domain.points
     tested = 0
     failures: list[dict[str, Any]] = []
-    for size in range(1, min(limit, len(domain)) + 1):
-        for subset in combinations(domain.points, size):
-            seen: set[tuple[int, ...]] = set()
-            for concept in concept_class.concepts:
-                key = tuple(concept.value(p) for p in subset)
+    for size in range(1, min(limit, n) + 1):
+        for points in combinations(range(n), size):
+            subset = sum(1 << p for p in points)
+            seen: set[int] = set()
+            for concept_bits in bits:
+                key = concept_bits & subset
                 if key in seen:
                     continue
                 seen.add(key)
-                sample = dict(zip(subset, key))
                 tested += 1
-                tup = compress(concept_class, sample, cache)
+                tup = _compress(cache, mask, d, points, key)
                 problem = None
-                if len(tup) != d:
+                if _realizers(cache, mask, points, key) == 0:
+                    problem = "sample is not realizable by the class"
+                elif len(tup) != d:
                     problem = f"tuple has length {len(tup)}, expected {d}"
-                elif not set(tup) <= set(subset):
+                elif any(not subset >> p & 1 for p in tup):
                     problem = "tuple uses points outside the sample"
-                elif not any(
-                    all(rho(tup).value(p) == v for p, v in sample.items())
-                    for rho in rhos
-                ):
+                elif not any((rho(tup) ^ key) & subset == 0 for rho in rhos):
                     problem = "no reconstructor recovers the sample"
                 if problem is not None:
-                    failures.append(
-                        {"sample": sample, "tuple": list(tup), "reason": problem}
-                    )
+                    sample = {names[p]: key >> p & 1 for p in points}
+                    named = [names[p] for p in tup]
+                    failures.append({"sample": sample, "tuple": named, "reason": problem})
     return CompressionReport(
         dimension=d,
         rho_count=len(rhos),

@@ -75,6 +75,20 @@ class LdimCache:
     def restrict_mask(self, mask: int, point_index: int, value: int) -> int:
         return mask & self._level_masks[point_index][value]
 
+    def canonical_mask(self, mask: int) -> tuple[int, int]:
+        """`canonical_partial` of a nonempty subclass as point bitmasks
+        ``(defined, ones)``: where it is defined, and where it reads 1."""
+        d = self.ldim_mask(mask)
+        defined = ones = 0
+        for p, (zeros_at, ones_at) in enumerate(self._level_masks):
+            keeps0 = self.ldim_mask(mask & zeros_at) == d
+            keeps1 = self.ldim_mask(mask & ones_at) == d
+            if keeps0 and keeps1:
+                raise AssertionError("both labels keep the dimension; ldim is inconsistent")
+            defined |= (keeps0 or keeps1) << p
+            ones |= keeps1 << p
+        return defined, ones
+
     def ldim_mask(self, mask: int) -> int:
         count = mask.bit_count()
         if count == 0:
@@ -182,15 +196,6 @@ def canonical_partial(
     if len(concept_class) == 0:
         raise ValueError("the empty class has no canonical partial labeling")
     cache, mask = _cache_for(concept_class, cache)
-    d = cache.ldim_mask(mask)
-    out: dict[str, int] = {}
-    for p, point in enumerate(concept_class.domain.points):
-        keeps0 = cache.ldim_mask(cache.restrict_mask(mask, p, 0)) == d
-        keeps1 = cache.ldim_mask(cache.restrict_mask(mask, p, 1)) == d
-        if keeps0 and keeps1:
-            raise AssertionError("both labels keep the dimension; ldim is inconsistent")
-        if keeps0:
-            out[point] = 0
-        elif keeps1:
-            out[point] = 1
-    return out
+    defined, ones = cache.canonical_mask(mask)
+    points = concept_class.domain.points
+    return {x: ones >> p & 1 for p, x in enumerate(points) if defined >> p & 1}

@@ -78,6 +78,17 @@ def ref_lowest_index_expected_queries(patterns, mu, t, alive=None):
     return acc
 
 
+def ref_sample_count(patterns, limit):
+    """Distinct labeled samples over nonempty point subsets of at most
+    `limit` points: per subset, the distinct restrictions of the patterns."""
+    n = len(patterns[0])
+    return sum(
+        len({tuple(c[p] for p in subset) for c in patterns})
+        for size in range(1, min(limit, n) + 1)
+        for subset in combinations(range(n), size)
+    )
+
+
 def mk_class(bitstrings, mu=None, labels=None):
     n = len(bitstrings[0])
     points = tuple(f"x{i + 1}" for i in range(n))

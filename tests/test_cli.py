@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from thicket import __version__, load_class
+from thicket import ConceptClass, Domain, __version__, load_class
+from thicket import compression
 from thicket.cli import main
 
-from helpers import c3, powerset3, write_class_file
+from helpers import c3, mk_class, powerset3, ref_sample_count, write_class_file
 
 
 @pytest.fixture()
@@ -20,7 +21,10 @@ def powerset_file(tmp_path):
 
 
 def run(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -266,3 +270,67 @@ def test_output_file_matches_stdout_bytes(capsys, c3_file, tmp_path):
     assert code == 0
     assert not out
     assert dest.read_text() == stdout_text
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["compress", "--class", "{c3}", "--verify", "--max-sample-size", "0"], 2),
+        (["verify", "--class", "{c3}", "--max-cycle-len", "1"], 2),
+        (["verify", "--random-classes", "2", "--max-domain", "0"], 2),
+        (["verify", "--random-classes", "2", "--max-concepts", "0"], 2),
+        (["verify", "--random-classes", "-1"], 2),
+        (["gen", "--seed", "1", "--points", "3", "--concepts", "0"], 2),
+        (["gen", "--seed", "1", "--points", "0", "--concepts", "1"], 2),
+        (["learn", "--class", "{c3}", "--target", "A", "--trials", "0"], 2),
+        (["learn", "--class", "{c3}", "--target", "A", "--trials", "-1"], 2),
+        (["learn", "--class", "{c3}", "--target", "A", "--trials", "many"], 2),
+        (["staged", "--trials", "-5"], 2),
+        (["staged", "--trials", "3", "--stage-cap", "0"], 2),
+        (["verify", "--class", "{empty}"], 3),
+        (["compress", "--class", "{empty}", "--verify"], 3),
+    ],
+)
+def test_out_of_range_values_exit_with_a_message(capsys, tmp_path, c3_file, argv, expected):
+    empty = write_class_file(tmp_path / "empty.json", ConceptClass(Domain.uniform(["x1"]), ()))
+    argv = [a.format(c3=c3_file, empty=empty) for a in argv]
+    code, _, err = run(capsys, argv)
+    assert code == expected
+    assert "Traceback" not in err
+    assert err.strip()
+
+
+WIDE = ["0" * 17, "1" * 17, "01" * 8 + "0", "0" * 8 + "1" * 9]
+
+
+@pytest.fixture()
+def wide_file(tmp_path):
+    # 17 points: 2**17 point subsets, more than a full 16-point domain has
+    return write_class_file(tmp_path / "wide.json", mk_class(WIDE))
+
+
+def test_compress_verify_refuses_infeasible_sample_universe(capsys, wide_file):
+    code, _, err = run(capsys, ["compress", "--class", wide_file, "--verify"])
+    assert code == 2
+    assert "--max-sample-size" in err
+
+
+def test_compress_verify_bounded_sample_size_runs(capsys, wide_file):
+    code, out, _ = run(
+        capsys, ["compress", "--class", wide_file, "--verify", "--max-sample-size", "2"]
+    )
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["failures"] == []
+    patterns = [tuple(int(b) for b in bits) for bits in WIDE]
+    assert report["samples_tested"] == ref_sample_count(patterns, 2)
+
+
+def test_compress_verify_exits_one_on_failures(capsys, c3_file, monkeypatch):
+    def zero_decoders(cache, mask):
+        return (lambda points: 0,) * (cache.ldim_mask(mask) + 1)
+
+    monkeypatch.setattr(compression, "_index_decoders", zero_decoders)
+    code, out, _ = run(capsys, ["compress", "--class", c3_file, "--verify"])
+    assert code == 1
+    assert json.loads(out)["report"]["failures"]

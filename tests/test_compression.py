@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from thicket import (
@@ -7,8 +9,10 @@ from thicket import (
     greedy_run,
     ldim,
 )
+from thicket import compression
+from thicket.generate import random_class
 
-from helpers import c3, mk_class, powerset3
+from helpers import all_three_point_classes, c3, mk_class, powerset3, ref_sample_count
 
 
 def extends(concept, sample):
@@ -166,3 +170,42 @@ def test_certify_mixed_halt_class():
     assert report.ok
     assert report.dimension == 3
     assert report.rho_count == 4
+
+
+def test_certify_reports_failures_with_named_samples(monkeypatch):
+    def zero_decoders(cache, mask):
+        return (lambda points: 0,) * (cache.ldim_mask(mask) + 1)
+
+    monkeypatch.setattr(compression, "_index_decoders", zero_decoders)
+    cc = c3()
+    report = certify_scheme(cc)
+    assert not report.ok
+    assert report.samples_tested == 7
+    # an all-zero answer recovers exactly the samples without a label 1
+    expected = []
+    for subset in (("x1",), ("x2",), ("x1", "x2")):
+        seen = []
+        for c in cc.concepts:
+            sample = {p: c.value(p) for p in subset}
+            if sample not in seen:
+                seen.append(sample)
+                if 1 in sample.values():
+                    expected.append(sample)
+    assert [f["sample"] for f in report.failures] == expected
+    for failure in report.failures:
+        assert failure["reason"] == "no reconstructor recovers the sample"
+        assert len(failure["tuple"]) == report.dimension
+        assert set(failure["tuple"]) <= set(failure["sample"])
+        assert failure["tuple"] == list(compress(cc, failure["sample"]))
+
+
+def test_samples_tested_matches_independent_count():
+    for cc in all_three_point_classes():
+        patterns = [c.bits for c in cc.concepts]
+        for limit in (1, 2, 3):
+            assert certify_scheme(cc, limit).samples_tested == ref_sample_count(patterns, limit)
+    for k in range(4):
+        cc = random_class(random.Random(k), 8, 24, 7, 12)
+        patterns = [c.bits for c in cc.concepts]
+        limit = 2 + 2 * k
+        assert certify_scheme(cc, limit).samples_tested == ref_sample_count(patterns, limit)
