@@ -6,7 +6,7 @@ seed, and the library version. Wall-clock timing goes to stderr so that
 report bytes never depend on machine speed.
 
 Exit codes: 0 success, 1 property violation, 2 usage error, 3 I/O or
-parse error.
+parse error, or an input too large to check.
 """
 
 from __future__ import annotations
@@ -45,22 +45,29 @@ from .compression import certify_scheme
 
 __all__ = ["main"]
 
-# compress --verify replays every point subset of at most --max-sample-size
-# points; refuse more subsets than a full 16-point domain has
+# compress --verify and verify replay every point subset of at most the
+# sample size they check; refuse more subsets than a full 16-point domain has
 MAX_REPLAY_SUBSETS = 2**16
+MAX_REPLAY_POINTS = MAX_REPLAY_SUBSETS.bit_length() - 1
 
 
 class UsageError(Exception):
     """Bad flag combination or value; maps to exit code 2."""
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """argparse type: an integer no smaller than `low`."""
+class OversizedInput(Exception):
+    """An input file too large for the command to check; maps to exit code 3."""
+
+
+def _int_at_least(low: int, high: int | None = None) -> Callable[[str], int]:
+    """argparse type: an integer no smaller than `low`, nor above `high`."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -82,6 +89,20 @@ def _report(payload: dict[str, Any], output: str | None) -> None:
 def _read_class(path: str) -> ConceptClass:
     with open(path, "rb") as fh:
         return load_class(fh.read())
+
+
+def _bound_replay(
+    cc: ConceptClass,
+    limit: int | None,
+    error: Callable[[str], Exception],
+    hint: str,
+) -> None:
+    """Raise `error` when replaying every point subset of at most `limit`
+    points (all subsets for None) would exceed MAX_REPLAY_SUBSETS."""
+    n = len(cc.domain)
+    subsets = sum(math.comb(n, k) for k in range(min(limit or n, n) + 1))
+    if subsets > MAX_REPLAY_SUBSETS:
+        raise error(f"{subsets} point subsets to replay exceed {MAX_REPLAY_SUBSETS}; {hint}")
 
 
 def _base(command: str, config: dict[str, Any]) -> dict[str, Any]:
@@ -212,13 +233,9 @@ def cmd_compress(args: argparse.Namespace) -> int:
     )
     payload["seed"] = None
     if args.verify:
-        n = len(cc.domain)
-        subsets = sum(math.comb(n, k) for k in range(min(args.max_sample_size or n, n) + 1))
-        if subsets > MAX_REPLAY_SUBSETS:
-            raise UsageError(
-                f"{subsets} point subsets to replay exceed {MAX_REPLAY_SUBSETS};"
-                " bound them with --max-sample-size"
-            )
+        _bound_replay(
+            cc, args.max_sample_size, UsageError, "bound them with --max-sample-size"
+        )
         report = certify_scheme(cc, args.max_sample_size)
         payload["report"] = report.as_dict()
         _report(payload, args.output)
@@ -308,6 +325,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("pass exactly one of --class or --random-classes")
     if args.class_file is not None:
         classes = [_read_class(args.class_file)]
+        _bound_replay(
+            classes[0],
+            None,
+            OversizedInput,
+            f"verify replays them all, so it takes classes of at most"
+            f" {MAX_REPLAY_POINTS} points",
+        )
         source = {"class": args.class_file}
     else:
         classes = list(
@@ -428,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exact property checks over classes")
     p.add_argument("--class", dest="class_file", default=None)
     p.add_argument("--random-classes", type=_int_at_least(1), default=None)
-    p.add_argument("--max-domain", type=_int_at_least(1), default=5)
+    p.add_argument(
+        "--max-domain", type=_int_at_least(1, MAX_REPLAY_POINTS), default=5
+    )
     p.add_argument("--max-concepts", type=_int_at_least(1), default=8)
     p.add_argument("--max-cycle-len", type=_int_at_least(2), default=5)
     p.add_argument("--seed", type=int, default=0)
@@ -454,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"thicket {args.command}: {exc}", file=sys.stderr)
         return 2
-    except (ClassValidationError, OSError) as exc:
+    except (ClassValidationError, OSError, OversizedInput) as exc:
         print(f"thicket {args.command}: {exc}", file=sys.stderr)
         return 3
     finally:

@@ -6,25 +6,30 @@ a counterexample point from mu conditioned on the symmetric difference
 of hypothesis and target, revealing the target's label there. The
 learner keeps only the concepts consistent with that label and repeats.
 
-Every random draw is made through a 64-bit uniform variate interpreted
-as an exact dyadic rational, so sampling is reproducible across
-platforms and the conditional probabilities are hit exactly up to
-2**-64. Exact expected query counts come from a separate memoized
-recursion, not from simulation.
+Every random draw takes one 64-bit uniform variate r and compares
+integers: with the weights scaled to integer masses of total D, it
+picks the first index whose running mass acc has acc * 2**64 > r * D,
+the decision acc > (r / 2**64) * D makes in the dyadic rationals. So
+sampling is reproducible across platforms and exact up to 2**-64. The
+learner draws on the query graph's masses, mu scaled once, so a Monte
+Carlo trial builds no Fraction. Exact expected query counts come from a
+separate memoized recursion, not from simulation.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from .concepts import Concept, ConceptClass, Domain
 from .querygraph import QueryGraph
 
 __all__ = [
+    "QuerySummary",
     "TeacherResponse",
     "Transcript",
     "TrialSummary",
@@ -87,20 +92,32 @@ def unit_variate(rng: random.Random) -> Fraction:
     return Fraction(rng.getrandbits(64), 1 << 64)
 
 
-def sample_index(weights: Sequence[Fraction], rng: random.Random) -> int:
-    """Draw an index with probability proportional to its exact weight."""
-    if not weights:
-        raise ValueError("cannot sample from an empty weight sequence")
-    total = sum(weights, Fraction(0))
+def _draw(masses: Sequence[int], total: int, rng: random.Random) -> int:
+    """Draw index i with probability masses[i] / total, up to 2**-64,
+    from one variate: the first i whose running mass exceeds r / 2**64
+    of `total`. `masses` are integers summing to `total`."""
     if total <= 0:
         raise ValueError("weights must have positive total mass")
-    threshold = unit_variate(rng) * total
-    acc = Fraction(0)
-    for i, w in enumerate(weights):
-        acc += w
-        if acc > threshold:
+    threshold = rng.getrandbits(64) * total
+    acc = 0
+    for i, m in enumerate(masses):
+        acc += m
+        if acc << 64 > threshold:
             return i
-    return len(weights) - 1
+    return len(masses) - 1
+
+
+def sample_index(weights: Sequence[Fraction], rng: random.Random) -> int:
+    """Draw an index with probability proportional to its exact weight.
+
+    The weights are scaled by their least common denominator, which
+    leaves every comparison of the draw unchanged.
+    """
+    if not weights:
+        raise ValueError("cannot sample from an empty weight sequence")
+    scale = math.lcm(*(w.denominator for w in weights))
+    masses = [w.numerator * (scale // w.denominator) for w in weights]
+    return _draw(masses, sum(masses), rng)
 
 
 def teacher_respond(
@@ -147,15 +164,21 @@ def run_thicket_learner(
     cache = graph.cache
     concept_class.index_of(target)  # membership check
     mask = cache.mask_of(concept_class)
-    domain = concept_class.domain
+    root = graph.root
+    t = root.index_of(target)
+    points, mass, bits = root.domain.points, graph.mass, target.bits
     entries: list[tuple[Concept, TeacherResponse]] = []
     while True:
-        hypothesis = graph.root.concepts[graph.best_query(mask)]
-        response = teacher_respond(target, hypothesis, domain, rng)
-        entries.append((hypothesis, response))
-        if response.equivalent:
+        q = graph.best_query(mask)
+        # the teacher's step on the graph's integer masses: concepts are
+        # distinct, so q != t leaves a nonempty difference to draw from
+        if q == t:
+            entries.append((root.concepts[q], TeacherResponse()))
             return Transcript(tuple(entries), seed)
-        mask = cache.restrict_mask(mask, domain.index(response.point), response.label)
+        diff, total = graph.diff_mass(q, t)
+        p = diff[_draw([mass[x] for x in diff], total, rng)]
+        entries.append((root.concepts[q], TeacherResponse(points[p], bits[p])))
+        mask = cache.restrict_mask(mask, p, bits[p])
 
 
 def exact_expected_queries(
@@ -205,13 +228,14 @@ def exact_expected_queries(
 
 
 @dataclass(frozen=True)
-class TrialSummary:
-    """Exact summary statistics over seeded Monte Carlo learning runs.
+class QuerySummary:
+    """Exact statistics of the query counts of seeded learning runs.
 
-    `histogram` pairs each observed query count with its frequency,
-    sorted by count. Mean and variance are exact rationals computed from
-    integer tallies; `variance` is the unbiased sample variance, 0 when
-    there are fewer than two trials.
+    Mean and variance are exact rationals computed from integer tallies;
+    `variance` is the unbiased sample variance, 0 when there are fewer
+    than two trials. :class:`TrialSummary` and
+    :class:`~thicket.staged.StagedSummary` share these fields, their
+    report keys and their CSV columns.
     """
 
     trials: int
@@ -219,7 +243,24 @@ class TrialSummary:
     mean: Fraction
     variance: Fraction
     max_queries: int
-    histogram: tuple[tuple[int, int], ...]
+
+    @staticmethod
+    def tally(histogram: Mapping[int, int]) -> dict[str, Any]:
+        """The fields other than `seed` for a nonempty histogram that
+        maps each query count to its frequency."""
+        trials = sum(histogram.values())
+        mean = Fraction(sum(k * v for k, v in histogram.items()), trials)
+        if trials > 1:
+            square_sum = sum(v * (k - mean) ** 2 for k, v in histogram.items())
+            variance = square_sum / (trials - 1)
+        else:
+            variance = Fraction(0)
+        return {
+            "trials": trials,
+            "mean": mean,
+            "variance": variance,
+            "max_queries": max(histogram),
+        }
 
     def as_dict(self, class_name: str, target: str) -> dict[str, Any]:
         return {
@@ -230,7 +271,6 @@ class TrialSummary:
             "mean": str(self.mean),
             "variance": str(self.variance),
             "max": self.max_queries,
-            "histogram": {str(k): v for k, v in self.histogram},
         }
 
     def csv_row(self, class_name: str, target: str) -> str:
@@ -242,6 +282,22 @@ class TrialSummary:
     @staticmethod
     def csv_header() -> str:
         return "class,target,trials,seed,mean,variance,max"
+
+
+@dataclass(frozen=True)
+class TrialSummary(QuerySummary):
+    """Exact summary statistics over seeded Monte Carlo learning runs.
+
+    `histogram` pairs each observed query count with its frequency,
+    sorted by count.
+    """
+
+    histogram: tuple[tuple[int, int], ...]
+
+    def as_dict(self, class_name: str, target: str) -> dict[str, Any]:
+        payload = super().as_dict(class_name, target)
+        payload["histogram"] = {str(k): v for k, v in self.histogram}
+        return payload
 
 
 def monte_carlo_trials(
@@ -266,18 +322,8 @@ def monte_carlo_trials(
         transcript = run_thicket_learner(concept_class, target, rng, graph)
         n = transcript.query_count
         counts[n] = counts.get(n, 0) + 1
-    total = sum(k * v for k, v in counts.items())
-    mean = Fraction(total, trials)
-    if trials > 1:
-        square_sum = sum(v * (Fraction(k) - mean) ** 2 for k, v in counts.items())
-        variance = square_sum / (trials - 1)
-    else:
-        variance = Fraction(0)
     return TrialSummary(
-        trials=trials,
         seed=seed,
-        mean=mean,
-        variance=variance,
-        max_queries=max(counts),
         histogram=tuple(sorted(counts.items())),
+        **QuerySummary.tally(counts),
     )

@@ -62,6 +62,8 @@ class LdimCache:
 
     def mask_of(self, concept_class: ConceptClass) -> int:
         """Encode a subclass of the root as a bitmask."""
+        if concept_class is self.root:
+            return self.full_mask
         if concept_class.domain != self.root.domain:
             raise ValueError("class is not over the cache's root domain")
         mask = 0

@@ -73,7 +73,8 @@ class QueryGraph:
         self.cache = cache if cache is not None else LdimCache(root)
         mu = [Fraction(w) for w in root.domain.mu]
         scale = math.lcm(*(w.denominator for w in mu))
-        self._mass = [w.numerator * (scale // w.denominator) for w in mu]
+        #: integer point masses m_p = mu(p) * L, shared with the learner's draws
+        self.mass = [w.numerator * (scale // w.denominator) for w in mu]
         # gain slot 2p + v: a counterexample at point p labeled v
         self._slot_masks = [
             self.cache.level_mask(p, v) for p in range(len(mu)) for v in (0, 1)
@@ -82,20 +83,22 @@ class QueryGraph:
         self._diffs: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
         self._best: dict[int, int] = {}
 
-    def _pair(self, i: int, j: int) -> tuple[tuple[int, ...], int]:
+    def diff_mass(self, i: int, j: int) -> tuple[tuple[int, ...], int]:
+        """Points where concepts i and j disagree, ascending, and their
+        integer mass D (order-insensitive, cached)."""
         key = (i, j) if i < j else (j, i)
         hit = self._diffs.get(key)
         if hit is None:
             a = self.root.concepts[key[0]].bits
             b = self.root.concepts[key[1]].bits
             points = tuple(p for p in range(len(a)) if a[p] != b[p])
-            hit = (points, sum(self._mass[p] for p in points))
+            hit = (points, sum(self.mass[p] for p in points))
             self._diffs[key] = hit
         return hit
 
     def diff_points(self, i: int, j: int) -> tuple[int, ...]:
         """Point indices where concepts i and j disagree (order-insensitive)."""
-        return self._pair(i, j)[0]
+        return self.diff_mass(i, j)[0]
 
     def _lightest(
         self,
@@ -115,14 +118,14 @@ class QueryGraph:
         """
         cache = self.cache
         here = cache.ldim_mask(mask)
-        mass, slot_masks, concepts = self._mass, self._slot_masks, self.root.concepts
+        mass, slot_masks, concepts = self.mass, self._slot_masks, self.root.concepts
         best_n, best_d = 1, 0
         rest = targets & ~(1 << i)
         while rest:
             low = rest & -rest
             rest ^= low
             j = low.bit_length() - 1
-            points, den = self._pair(i, j)
+            points, den = self.diff_mass(i, j)
             target = concepts[j].bits
             num = 0
             for p in points:

@@ -27,12 +27,20 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
 
 from .concepts import Concept, ConceptClass, Domain
-from .learner import TeacherResponse, derive_seed, sample_index, teacher_respond, unit_variate
+from .learner import (
+    QuerySummary,
+    TeacherResponse,
+    derive_seed,
+    sample_index,
+    teacher_respond,
+    unit_variate,
+)
 from .littlestone import LdimCache, ldim
 from .querygraph import QueryGraph, max_min_query
 
@@ -89,6 +97,10 @@ class CountableFamily(ABC):
 
     #: number of concepts, or None when the enumeration is infinite
     size: int | None = None
+
+    def __init__(self) -> None:
+        # stage -> StageSchedule, filled by schedule_for as stages are reached
+        self._schedules: dict[int, StageSchedule] = {}
 
     @abstractmethod
     def prior(self, index: int) -> Fraction:
@@ -175,13 +187,22 @@ class StageSchedule:
 
 
 def schedule_for(family: CountableFamily, stage: int) -> StageSchedule:
-    eps = stage_epsilon(stage)
-    return StageSchedule(
-        stage=stage,
-        eps=eps,
-        prefix=prefix_size(family.priors(), eps),
-        budget=step_budget(family.ldim_bound, eps),
-    )
+    """Resolved parameters of a stage of the family.
+
+    A stage is resolved when it is first asked for and then kept on the
+    family, so a truncated prior raises PriorExhaustedError only once a
+    run reaches a stage it cannot cover (and again on every such ask).
+    """
+    plan = family._schedules.get(stage)
+    if plan is None:
+        eps = stage_epsilon(stage)
+        plan = family._schedules[stage] = StageSchedule(
+            stage=stage,
+            eps=eps,
+            prefix=prefix_size(family.priors(), eps),
+            budget=step_budget(family.ldim_bound, eps),
+        )
+    return plan
 
 
 class IntervalFamily(CountableFamily):
@@ -199,6 +220,7 @@ class IntervalFamily(CountableFamily):
     """
 
     def __init__(self, ratio: Fraction = Fraction(1, 2)) -> None:
+        super().__init__()
         ratio = Fraction(ratio)
         if not 0 < ratio < 1:
             raise ValueError("prior ratio must lie strictly between 0 and 1")
@@ -282,6 +304,7 @@ class FiniteFamily(CountableFamily):
         tau: tuple[Fraction, ...],
         name: str = "finite",
     ) -> None:
+        super().__init__()
         if len(tau) != len(concept_class):
             raise ValueError("need exactly one prior weight per concept")
         if any(t < 0 for t in tau):
@@ -392,41 +415,25 @@ def sample_target(family: CountableFamily, rng: random.Random) -> int:
 
 
 @dataclass(frozen=True)
-class StagedSummary:
-    """Summary of seeded staged runs with prior-drawn targets."""
+class StagedSummary(QuerySummary):
+    """Summary of seeded staged runs with prior-drawn targets.
+
+    `counts` holds the query count of each trial, in trial order.
+    """
 
     family: str
-    trials: int
-    seed: int
     stage_cap: int
     identified: int
-    mean: Fraction
-    variance: Fraction
-    max_queries: int
     counts: tuple[int, ...]
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "class": self.family,
-            "target": "tau",
-            "trials": self.trials,
-            "seed": self.seed,
-            "stage_cap": self.stage_cap,
-            "identified": self.identified,
-            "mean": str(self.mean),
-            "variance": str(self.variance),
-            "max": self.max_queries,
-        }
+        payload = super().as_dict(self.family, "tau")
+        payload["stage_cap"] = self.stage_cap
+        payload["identified"] = self.identified
+        return payload
 
     def csv_row(self) -> str:
-        return (
-            f"{self.family},tau,{self.trials},{self.seed},"
-            f"{self.mean},{self.variance},{self.max_queries}"
-        )
-
-    @staticmethod
-    def csv_header() -> str:
-        return "class,target,trials,seed,mean,variance,max"
+        return super().csv_row(self.family, "tau")
 
 
 def staged_trials(
@@ -447,21 +454,13 @@ def staged_trials(
         counts.append(result.queries)
         if result.identified:
             identified += 1
-    mean = Fraction(sum(counts), trials)
-    if trials > 1:
-        variance = sum((Fraction(c) - mean) ** 2 for c in counts) / (trials - 1)
-    else:
-        variance = Fraction(0)
     return StagedSummary(
-        family=family.describe(),
-        trials=trials,
         seed=seed,
+        family=family.describe(),
         stage_cap=stage_cap,
         identified=identified,
-        mean=mean,
-        variance=variance,
-        max_queries=max(counts),
         counts=tuple(counts),
+        **QuerySummary.tally(Counter(counts)),
     )
 
 

@@ -6,6 +6,7 @@ code path with the package under test.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -76,6 +77,36 @@ def ref_lowest_index_expected_queries(patterns, mu, t, alive=None):
         kept = [i for i in alive if patterns[i][p] == patterns[t][p]]
         acc += (mu[p] / total) * ref_lowest_index_expected_queries(patterns, mu, t, kept)
     return acc
+
+
+def ref_learner_run(patterns, mu, t, seed):
+    """One max-min learning run against target pattern t, replayed with
+    rational thresholds: the steps (query, point, label), with point and
+    label None on the confirming query.
+
+    Each step queries the `ref_max_min` choice among the surviving
+    patterns, kept in index order. The teacher takes u = r / 2**64 for
+    one r = getrandbits(64) of `random.Random(seed)` and returns the
+    first disagreement point whose running mass exceeds u times the
+    disagreement's mass.
+    """
+    rng = random.Random(seed)
+    alive = list(range(len(patterns)))
+    steps = []
+    while True:
+        q = alive[ref_max_min([patterns[i] for i in alive], mu)]
+        if q == t:
+            steps.append((q, None, None))
+            return steps
+        diff = [p for p in range(len(patterns[t])) if patterns[q][p] != patterns[t][p]]
+        threshold = Fraction(rng.getrandbits(64), 2**64) * sum(mu[p] for p in diff)
+        acc = Fraction(0)
+        for p in diff:
+            acc += mu[p]
+            if acc > threshold:
+                break
+        steps.append((q, p, patterns[t][p]))
+        alive = [i for i in alive if patterns[i][p] == patterns[t][p]]
 
 
 def ref_sample_count(patterns, limit):

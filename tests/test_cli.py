@@ -272,6 +272,15 @@ def test_output_file_matches_stdout_bytes(capsys, c3_file, tmp_path):
     assert dest.read_text() == stdout_text
 
 
+WIDE = ["0" * 17, "1" * 17, "01" * 8 + "0", "0" * 8 + "1" * 9]
+
+
+@pytest.fixture()
+def wide_file(tmp_path):
+    # 17 points: 2**17 point subsets, more than a full 16-point domain has
+    return write_class_file(tmp_path / "wide.json", mk_class(WIDE))
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -289,24 +298,28 @@ def test_output_file_matches_stdout_bytes(capsys, c3_file, tmp_path):
         (["staged", "--trials", "3", "--stage-cap", "0"], 2),
         (["verify", "--class", "{empty}"], 3),
         (["compress", "--class", "{empty}", "--verify"], 3),
+        (["verify", "--random-classes", "2", "--max-domain", "17"], 2),
+        (["verify", "--class", "{wide}"], 3),
     ],
 )
-def test_out_of_range_values_exit_with_a_message(capsys, tmp_path, c3_file, argv, expected):
+def test_out_of_range_values_exit_with_a_message(
+    capsys, tmp_path, c3_file, wide_file, argv, expected
+):
     empty = write_class_file(tmp_path / "empty.json", ConceptClass(Domain.uniform(["x1"]), ()))
-    argv = [a.format(c3=c3_file, empty=empty) for a in argv]
+    argv = [a.format(c3=c3_file, empty=empty, wide=wide_file) for a in argv]
     code, _, err = run(capsys, argv)
     assert code == expected
     assert "Traceback" not in err
     assert err.strip()
 
 
-WIDE = ["0" * 17, "1" * 17, "01" * 8 + "0", "0" * 8 + "1" * 9]
-
-
-@pytest.fixture()
-def wide_file(tmp_path):
-    # 17 points: 2**17 point subsets, more than a full 16-point domain has
-    return write_class_file(tmp_path / "wide.json", mk_class(WIDE))
+def test_verify_refuses_oversized_class(capsys, wide_file):
+    # verify replays every point subset, with no flag to bound the replay
+    code, out, err = run(capsys, ["verify", "--class", wide_file])
+    assert code == 3
+    assert not out
+    assert "at most 16 points" in err
+    assert "Traceback" not in err
 
 
 def test_compress_verify_refuses_infeasible_sample_universe(capsys, wide_file):

@@ -1,10 +1,12 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
 from thicket import (
+    ConceptClass,
     QueryGraph,
     TeacherResponse,
     derive_seed,
@@ -17,7 +19,7 @@ from thicket import (
 from thicket.learner import sample_index, unit_variate
 from thicket.generate import random_classes
 
-from helpers import c3, mk_class, ref_lowest_index_expected_queries
+from helpers import c3, mk_class, ref_learner_run, ref_lowest_index_expected_queries
 
 
 def skewed_class():
@@ -58,6 +60,85 @@ def test_sample_index_splits_on_cumulative_mass():
     high = StubRng(2**63)
     assert sample_index(weights, low) == 0
     assert sample_index(weights, high) == 1
+
+
+def steps(cc, transcript):
+    """A transcript as (query index, point index, label) steps, the form
+    of `ref_learner_run`."""
+    out = []
+    for hypothesis, response in transcript.queries:
+        point = None if response.equivalent else cc.domain.index(response.point)
+        out.append((cc.index_of(hypothesis), point, response.label))
+    return out
+
+
+# pairwise coprime denominators: no scaling by a power of two makes them integers
+MIXED_MU = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 42))
+
+
+def mixed_classes():
+    """Seeded classes of 3 to 5 concepts over four points, under eight
+    orderings of MIXED_MU."""
+    patterns = ["".join(t) for t in product("01", repeat=4)]
+    for k, mu in enumerate(list(permutations(MIXED_MU))[::3]):
+        chosen = random.Random(k).sample(patterns, 3 + k % 3)
+        yield mk_class(chosen, mu=mu)
+
+
+def test_learner_transcripts_match_rational_oracle():
+    for cc in mixed_classes():
+        patterns = [c.bits for c in cc.concepts]
+        graph = QueryGraph(cc)
+        for t, target in enumerate(cc.concepts):
+            for seed in range(12):
+                run = run_thicket_learner(cc, target, random.Random(seed), graph)
+                assert steps(cc, run) == ref_learner_run(patterns, cc.domain.mu, t, seed)
+
+
+def test_threshold_on_a_non_dyadic_cumulative_mass_picks_the_next_point():
+    # masses 3/10, 1/5, 1/10 on the difference: u = 1/2 puts the threshold
+    # at 3/10, exactly the running mass after x1, so strict > passes to x2
+    cc = mk_class(
+        ["0000", "1110"],
+        mu=(Fraction(3, 10), Fraction(1, 5), Fraction(1, 10), Fraction(2, 5)),
+    )
+    half = StubRng(2**63)
+    assert sample_index([Fraction(3, 10), Fraction(1, 5), Fraction(1, 10)], half) == 1
+    run = run_thicket_learner(cc, cc.concepts[1], half)
+    assert steps(cc, run) == [(0, 1, 1), (1, None, None)]
+    assert teacher_respond(cc.concepts[1], cc.concepts[0], cc.domain, half).point == "x2"
+
+
+class DrawLimit:
+    """A seeded generator that fails the run after `limit` variates.
+
+    Each counterexample removes at least the queried concept, so a run
+    in a class of n concepts draws at most n - 1 of them.
+    """
+
+    def __init__(self, seed, limit):
+        self.rng = random.Random(seed)
+        self.left = limit
+
+    def getrandbits(self, bits):
+        assert self.left > 0, "more counterexamples than concepts to remove"
+        self.left -= 1
+        return self.rng.getrandbits(bits)
+
+
+def test_subclass_run_on_the_root_graph_matches_a_run_on_its_own():
+    # root indices 1, 3, 4, 6 are class indices 0-3 of the subclass
+    root = mk_class(
+        ["0000", "1010", "0110", "1100", "0011", "1111", "1001"], mu=MIXED_MU
+    )
+    sub = ConceptClass(root.domain, tuple(root.concepts[i] for i in (1, 3, 4, 6)))
+    shared = QueryGraph(root)
+    patterns = [c.bits for c in sub.concepts]
+    for t, target in enumerate(sub.concepts):
+        for seed in range(8):
+            run = run_thicket_learner(sub, target, DrawLimit(seed, len(sub) - 1), shared)
+            assert run == run_thicket_learner(sub, target, random.Random(seed))
+            assert steps(sub, run) == ref_learner_run(patterns, sub.domain.mu, t, seed)
 
 
 def test_teacher_confirms_equal_hypothesis():

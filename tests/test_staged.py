@@ -123,6 +123,17 @@ def test_schedule_first_stage():
     assert plan.budget == 3
 
 
+def test_schedules_resolve_lazily_once_per_stage():
+    # tau covers 3/4: enough for stage 1 (1 - 1/4), short of stage 2 (1 - 1/8)
+    fam = FiniteFamily(c3(), (Fraction(1, 2), Fraction(1, 4), Fraction(0)))
+    assert run_staged_learner(fam, 0, random.Random(0)).identified
+    assert schedule_for(fam, 1) is schedule_for(fam, 1)
+    # target C lies outside the stage 1 prefix, so its run reaches stage 2
+    for _ in range(2):
+        with pytest.raises(PriorExhaustedError):
+            run_staged_learner(fam, 2, random.Random(0))
+
+
 def test_finite_family_singleton_identified_immediately():
     fam = FiniteFamily(mk_class(["0"]), (Fraction(1),))
     result = run_staged_learner(fam, 0, random.Random(1))
