@@ -6,7 +6,7 @@ seed, and the library version. Wall-clock timing goes to stderr so that
 report bytes never depend on machine speed.
 
 Exit codes: 0 success, 1 property violation, 2 usage error, 3 I/O or
-parse error, or an input too large to check.
+parse error, an input too large to check, or a truncated staged prior.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .learner import (
 # name perfbench/tracer.py wraps
 from .littlestone import LdimCache, drop, ldim  # noqa: F401
 from .querygraph import QueryGraph, find_deficient_cycle
-from .staged import FiniteFamily, IntervalFamily, staged_trials
+from .staged import FiniteFamily, IntervalFamily, PriorExhaustedError, staged_trials
 from .compression import certify_scheme
 
 __all__ = ["main"]
@@ -480,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"thicket {args.command}: {exc}", file=sys.stderr)
         return 2
-    except (ClassValidationError, OSError, OversizedInput) as exc:
+    except (ClassValidationError, OSError, OversizedInput, PriorExhaustedError) as exc:
         print(f"thicket {args.command}: {exc}", file=sys.stderr)
         return 3
     finally:

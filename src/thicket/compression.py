@@ -53,11 +53,6 @@ Reconstructor = Callable[[Sequence[str]], Concept]
 Decoder = Callable[[tuple[int, ...]], int]
 
 
-def _point_bits(concept: Concept) -> int:
-    """The concept's labels as a bitmask over point indices."""
-    return sum(b << p for p, b in enumerate(concept.bits))
-
-
 def _realizers(cache: LdimCache, mask: int, points: Sequence[int], key: int) -> int:
     """The concepts of `mask` agreeing with label bits `key` on `points`."""
     for p in points:
@@ -113,7 +108,7 @@ def _index_decoders(cache: LdimCache, mask: int) -> tuple[Decoder, ...]:
     """
     d = cache.ldim_mask(mask)
     level = cache.level_mask
-    bits = [_point_bits(c) for c in cache.root.concepts]
+    bits = cache.point_bits
     default = bits[(mask & -mask).bit_length() - 1]
     canon_memo: dict[int, int] = {0: default}
     # the class's canonical labeling is the label keeping d at each point
@@ -300,7 +295,7 @@ def certify_scheme(
         raise ValueError("max_sample_size must be at least 1")
     d = cache.ldim_mask(mask)
     rhos = _index_decoders(cache, mask)
-    bits = [_point_bits(c) for c in concept_class.concepts]
+    bits = cache.point_bits
     names = concept_class.domain.points
     tested = 0
     failures: list[dict[str, Any]] = []

@@ -12,16 +12,18 @@ equivalent restriction recursion
 with memoization over subclasses and two prunings that never change a
 value. The scan over splitting points stops once it reaches
 floor(log2 |C|), the largest dimension |C| concepts can have. Each
-split evaluates its side with fewer concepts first and skips the other
+split looks at its side with fewer concepts first and skips the other
 side when 1 + ldim(that side) cannot beat the best split so far, since
-the minimum is at most either side. On a class of n singleton concepts
-the second pruning keeps the memo to about n entries, where the plain
+the minimum is at most either side; a side too small to beat it by that
+log2 cap is skipped unexamined. On a class of n singleton concepts the
+second pruning keeps the memo to about n entries, where the plain
 recursion visits about 2^n subclasses.
 
 Subclasses of one root class are encoded as bitmasks over the root's
 concept indices, so the same cache serves every caller that works on
 restrictions of that root: the query graph, the learner's expectation
-recursion, and the compression scheme all share one :class:`LdimCache`.
+recursion, and the compression scheme all share one :class:`LdimCache`,
+and read each root concept's labels from it as one point-bits int.
 """
 
 from __future__ import annotations
@@ -50,14 +52,13 @@ class LdimCache:
         self.root = root
         n = len(root.concepts)
         self.full_mask = (1 << n) - 1
+        #: point_bits[i] = labels of root.concepts[i], bit p at point index p
+        self.point_bits = [sum(b << p for p, b in enumerate(c.bits)) for c in root.concepts]
         # _level_masks[p][v] = concepts taking value v at point index p
         self._level_masks: list[tuple[int, int]] = []
         for p in range(len(root.domain)):
-            zeros = 0
-            for i, c in enumerate(root.concepts):
-                if c.bits[p] == 0:
-                    zeros |= 1 << i
-            self._level_masks.append((zeros, self.full_mask & ~zeros))
+            ones = sum((bits >> p & 1) << i for i, bits in enumerate(self.point_bits))
+            self._level_masks.append((self.full_mask ^ ones, ones))
         self._memo: dict[int, int] = {}
 
     def mask_of(self, concept_class: ConceptClass) -> int:
@@ -104,19 +105,22 @@ class LdimCache:
         # concepts, so ldim never exceeds floor(log2 |C|): prune there.
         upper = count.bit_length() - 1
         best = 0
-        for zeros, ones in self._level_masks:
+        for zeros, _ in self._level_masks:
             small = mask & zeros
-            if small == 0 or small == mask:
+            size = small.bit_count()
+            if size == 0 or size == count:
                 continue
-            large = mask & ones
-            if large.bit_count() < small.bit_count():
-                small, large = large, small
-            # min(a, b) <= a: a smaller side that cannot beat best settles
-            # the split without its larger, costlier side
+            if 2 * size > count:
+                small, size = mask ^ small, count - size
+            # min(a, b) <= a <= floor(log2 |small|): a smaller side that
+            # cannot beat best settles the split without its larger, costlier
+            # side, and without its own recursion when it is too small
+            if size.bit_length() <= best:
+                continue
             low = self.ldim_mask(small)
             if low < best:
                 continue
-            candidate = 1 + min(low, self.ldim_mask(large))
+            candidate = 1 + min(low, self.ldim_mask(mask ^ small))
             if candidate > best:
                 best = candidate
                 if best == upper:

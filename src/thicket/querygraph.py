@@ -22,9 +22,9 @@ bitmasks shared with :class:`~thicket.littlestone.LdimCache`, and exposes
 the max-min query choice with lowest-index tie-breaking. It scales mu
 exactly to integers once, computes weights lazily in integer arithmetic
 and returns them as Fractions. It memoizes the difference points and
-their mass per concept pair and the chosen query per subclass, but no
-weight: within one subclass the per-point dimension drops are shared
-across all edges instead.
+their mass per concept pair, read off the XOR of the cache's point bits,
+and the chosen query per subclass, but no weight: within one subclass
+the per-point dimension drops are shared across all edges instead.
 """
 
 from __future__ import annotations
@@ -89,11 +89,13 @@ class QueryGraph:
         key = (i, j) if i < j else (j, i)
         hit = self._diffs.get(key)
         if hit is None:
-            a = self.root.concepts[key[0]].bits
-            b = self.root.concepts[key[1]].bits
-            points = tuple(p for p in range(len(a)) if a[p] != b[p])
-            hit = (points, sum(self.mass[p] for p in points))
-            self._diffs[key] = hit
+            bits = self.cache.point_bits
+            rest, points = bits[i] ^ bits[j], []
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                points.append(low.bit_length() - 1)
+            hit = self._diffs[key] = (tuple(points), sum(self.mass[p] for p in points))
         return hit
 
     def diff_points(self, i: int, j: int) -> tuple[int, ...]:

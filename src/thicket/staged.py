@@ -14,12 +14,14 @@ prefixes with shrinking failure budgets:
                        d bounds the dimension of every prefix
 
 Within a stage the learner proposes hypotheses from the prefix concepts
-still consistent with every counterexample seen so far, evaluated on an
-exact finite atomization of the real domain. When the budget runs out or
-no consistent prefix concept remains, the next stage restarts with a
-longer prefix and a stricter budget. Since the target sits inside all
-late-enough prefixes and each stage fails with probability at most
-2 * eps_k, the total expected query count is finite.
+still consistent with every counterexample seen so far, a concept mask
+of one query graph per prefix over an exact atomization of the domain.
+When the budget runs out or no consistent prefix concept remains, the
+next stage restarts with a longer prefix and a stricter budget. Each
+query drops the dimension by at least 1/2 in expectation only: for d = 1
+drops are 0 or 1, as the coin model assumes, but for d >= 2 one query
+can drop it by 2 with probability 2/5 and by 0 otherwise (a witness is
+in tests/test_staged.py), so the budget's failure bound is unproven.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .learner import (
     teacher_respond,
     unit_variate,
 )
-from .littlestone import LdimCache, ldim
-from .querygraph import QueryGraph, max_min_query
+from .littlestone import ldim
+from .querygraph import QueryGraph
 
 __all__ = [
     "AtomizedPrefix",
@@ -101,6 +103,8 @@ class CountableFamily(ABC):
     def __init__(self) -> None:
         # stage -> StageSchedule, filled by schedule_for as stages are reached
         self._schedules: dict[int, StageSchedule] = {}
+        # prefix length -> (atomization, query graph), filled by prefix_graph
+        self._graphs: dict[int, tuple[AtomizedPrefix, QueryGraph]] = {}
 
     @abstractmethod
     def prior(self, index: int) -> Fraction:
@@ -121,6 +125,20 @@ class CountableFamily(ABC):
     @abstractmethod
     def describe(self) -> str:
         """Short functional name used in reports."""
+
+    def prefix_graph(self, n: int) -> tuple[AtomizedPrefix, QueryGraph]:
+        """The first n concepts atomized, with one query graph over them.
+
+        Kept per prefix length, not per live set: live sets follow each
+        trial's history, prefixes only the stage, so every stage and trial
+        on a prefix shares the graph's memos. A live set is a concept mask
+        of the graph, bit i for enumeration index i.
+        """
+        hit = self._graphs.get(n)
+        if hit is None:
+            atoms = self.atomize(list(range(n)))
+            hit = self._graphs[n] = (atoms, QueryGraph(atoms.cls))
+        return hit
 
     def priors(self) -> Iterator[Fraction]:
         i = 0
@@ -154,13 +172,13 @@ def prefix_size(priors: Iterable[Fraction], eps: Fraction) -> int:
 
 
 def step_budget(dimension_bound: int, eps: Fraction) -> int:
-    """Smallest query budget that fails with probability below eps.
+    """Smallest n such that n fair coin flips show fewer than d heads
+    with probability below eps, for d the dimension bound.
 
-    Each query before identification drops the class dimension with
-    probability at least 1/2, so a stage with dimension bound d fails
-    only if n queries produce fewer than d drops. The exact fair-coin
-    tail sum(C(n, j) for j < d) / 2**n is driven below eps; no looser
-    closed form is used, keeping the budget minimal.
+    The exact tail sum(C(n, j) for j < d) / 2**n is driven below eps; no
+    looser closed form is used, keeping the budget minimal. It models
+    each query as a dimension drop with probability 1/2, which the query
+    graph guarantees for d = 1 and only in expectation for d >= 2.
     """
     if dimension_bound < 1:
         raise ValueError("dimension bound must be at least 1")
@@ -378,28 +396,23 @@ def run_staged_learner(
     queries = 0
     for stage in range(1, stage_cap + 1):
         plan = schedule_for(family, stage)
-        live = [
-            i
-            for i in range(plan.prefix)
-            if all(family.eval(i, point) == label for point, label in history)
-        ]
-        if not live:
-            continue
-        atoms = family.atomize(live)
-        cache = LdimCache(atoms.cls)
-        graph = QueryGraph(atoms.cls, cache)
+        atoms, graph = family.prefix_graph(plan.prefix)
+        cache, index = graph.cache, atoms.cls.domain.index
+        # prefix concepts are constant on atoms, so restricting to each
+        # counterexample's atom keeps exactly the consistent ones
         mask = cache.full_mask
+        for point, label in history:
+            mask = cache.restrict_mask(mask, index(atoms.locate(point)), label)
         for _ in range(plan.budget):
             if mask == 0:
                 break
-            local = graph.best_query(mask)
-            response = family.respond(target, live[local], rng)
+            response = family.respond(target, graph.best_query(mask), rng)
             queries += 1
             if response.equivalent:
                 return StagedResult(True, queries, stage, tuple(history), seed)
             history.append((response.point, response.label))
-            atom_index = atoms.cls.domain.index(atoms.locate(response.point))
-            mask = cache.restrict_mask(mask, atom_index, response.label)
+            atom = index(atoms.locate(response.point))
+            mask = cache.restrict_mask(mask, atom, response.label)
     return StagedResult(False, queries, stage_cap, tuple(history), seed)
 
 
@@ -483,10 +496,8 @@ def negative_feedback_probability(
     """
     if prefix < 1:
         raise ValueError("prefix must hold at least one concept")
-    indices = list(range(prefix))
-    atoms = family.atomize(indices)
-    proposal = atoms.cls.index_of(max_min_query(atoms.cls))
-    hyp = indices[proposal]
+    graph = family.prefix_graph(prefix)[1]
+    hyp = graph.best_query(graph.cache.full_mask)
     if hyp == target:
         raise ValueError("the proposal equals the target; no counterexample exists")
     len_h = family.length(hyp)

@@ -5,6 +5,7 @@ definitions with no memoization, masks, or pruning, so they share no
 code path with the package under test.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -107,6 +108,69 @@ def ref_learner_run(patterns, mu, t, seed):
                 break
         steps.append((q, p, patterns[t][p]))
         alive = [i for i in alive if patterns[i][p] == patterns[t][p]]
+
+
+def ref_staged_trials(patterns, mu, tau, trials, seed, stage_cap):
+    """Query counts of seeded staged runs on a finite family, one per trial.
+
+    Trial i seeds `random.Random` with the first 8 bytes of
+    sha256("{seed}/{i}"), big-endian, and draws its target as the first
+    index whose cumulative tau exceeds r / 2**64. Stage k has budget eps
+    1 / 2**(k+1), the shortest prefix of cumulative tau >= 1 - eps, and
+    the smallest n with sum(C(n, j) for j < d) / 2**n < eps for
+    d = max(1, ref_ldim(patterns)). Each query is the `ref_max_min`
+    choice among the prefix patterns consistent with every
+    counterexample so far, in index order; the counterexample is drawn
+    as in `ref_learner_run`. Raises LookupError when tau runs out, for
+    a target or for a stage's prefix.
+    """
+    d = max(1, ref_ldim(patterns))
+    cumulative = [sum(tau[: k + 1], Fraction(0)) for k in range(len(tau))]
+    counts, choice = [], {}  # choice: alive tuple -> max-min pattern index
+    for i in range(trials):
+        digest = hashlib.sha256(f"{seed}/{i}".encode("ascii")).digest()
+        rng = random.Random(int.from_bytes(digest[:8], "big"))
+        u = Fraction(rng.getrandbits(64), 2**64)
+        t = next((k for k, acc in enumerate(cumulative) if acc > u), None)
+        if t is None:
+            raise LookupError("prior exhausted drawing a target")
+        history, queries, found = [], 0, False
+        for stage in range(1, stage_cap + 1):
+            eps = Fraction(1, 2 ** (stage + 1))
+            prefix = next((k + 1 for k, acc in enumerate(cumulative) if acc >= 1 - eps), None)
+            if prefix is None:
+                raise LookupError("prior exhausted covering a stage")
+            budget = 1
+            while Fraction(sum(math.comb(budget, j) for j in range(d)), 2**budget) >= eps:
+                budget += 1
+            alive = [
+                k for k in range(prefix)
+                if all(patterns[k][p] == label for p, label in history)
+            ]
+            for _ in range(budget):
+                if not alive:
+                    break
+                key = tuple(alive)
+                if key not in choice:
+                    choice[key] = alive[ref_max_min([patterns[k] for k in alive], mu)]
+                q = choice[key]
+                queries += 1
+                if q == t:
+                    found = True
+                    break
+                diff = [p for p in range(len(mu)) if patterns[q][p] != patterns[t][p]]
+                threshold = Fraction(rng.getrandbits(64), 2**64) * sum(mu[p] for p in diff)
+                acc = Fraction(0)
+                for p in diff:
+                    acc += mu[p]
+                    if acc > threshold:
+                        break
+                history.append((p, patterns[t][p]))
+                alive = [k for k in alive if patterns[k][p] == patterns[t][p]]
+            if found:
+                break
+        counts.append(queries)
+    return counts
 
 
 def ref_sample_count(patterns, limit):

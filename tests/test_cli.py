@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -347,3 +351,27 @@ def test_compress_verify_exits_one_on_failures(capsys, c3_file, monkeypatch):
     code, out, _ = run(capsys, ["compress", "--class", c3_file, "--verify"])
     assert code == 1
     assert json.loads(out)["report"]["failures"]
+
+
+@pytest.mark.parametrize(
+    "tau, seed, message",
+    [
+        # the first target's variate lies above the prior's total mass 3/80
+        (["1/80"] * 3, 0, "exhausted below variate"),
+        # the target is drawn, then stage 1 needs mass 3/4 of a prior of 5/8
+        (["1/2", "1/8", "0"], 1, "enumeration ended at mass 5/8, needed 3/4"),
+    ],
+)
+def test_staged_truncated_prior_exits_3(tmp_path, tau, seed, message):
+    path = write_class_file(tmp_path / "c3.json", c3(), tuple(map(Fraction, tau)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "thicket.cli", "staged", "--family", f"file:{path}",
+         "--trials", "5", "--seed", str(seed)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert not proc.stdout
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr

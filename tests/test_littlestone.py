@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -139,3 +140,25 @@ def test_singleton_class_memo_stays_small():
     cache = LdimCache(cc)
     assert ldim(cc, cache) == 1
     assert len(cache._memo) <= n * n
+
+
+def test_pruned_dimension_matches_plain_recursion_on_restrictions():
+    # 5-6 points and up to 20 concepts reach ldim 3 and 4, where a split's
+    # smaller side is skipped by its size alone
+    seen = set()
+    for k in range(40):
+        rng = random.Random(f"ldim {k}")
+        n = rng.randint(5, 6)
+        patterns = [
+            tuple(v >> p & 1 for p in range(n))
+            for v in rng.sample(range(2**n), rng.randint(2, 20))
+        ]
+        cc = mk_class(["".join(map(str, c)) for c in patterns])
+        cache = LdimCache(cc)
+        seen.add(ldim(cc, cache))
+        assert ldim(cc, cache) == ref_ldim(patterns), k
+        for p, point in enumerate(cc.domain.points):
+            for label in (0, 1):
+                kept = [c for c in patterns if c[p] == label]
+                assert ldim(restrict(cc, {point: label}), cache) == ref_ldim(kept), k
+    assert {3, 4} <= seen

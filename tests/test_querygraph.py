@@ -158,3 +158,23 @@ def test_subclass_selection_matches_oracle_with_mixed_denominators():
             assert graph.best_query(mask) == members[ref_max_min(patterns, mu)]
             ties += ranks.count(max(ranks)) > 1
     assert ties > 0
+
+
+def test_difference_points_on_a_wide_domain():
+    # 70 points: the concepts' point bits overflow 64 bits
+    rng = random.Random(11)
+    n = 70
+    mu = [Fraction(rng.randint(1, 9)) for _ in range(n)]
+    mu = [m / sum(mu) for m in mu]
+    bits = {"".join(rng.choice("01") for _ in range(n)) for _ in range(12)}
+    cc = mk_class(sorted(bits), mu=mu)
+    graph = QueryGraph(cc)
+    total = sum(graph.mass)
+    for i, a in enumerate(cc.concepts):
+        for j, b in enumerate(cc.concepts):
+            if i == j:
+                continue
+            direct = tuple(p for p in range(n) if a.bits[p] != b.bits[p])
+            points, mass = graph.diff_mass(i, j)
+            assert points == direct == graph.diff_points(j, i)
+            assert Fraction(mass, total) == sum(mu[p] for p in direct)

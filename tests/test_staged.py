@@ -8,9 +8,13 @@ from thicket import (
     FiniteFamily,
     IntervalFamily,
     PriorExhaustedError,
+    drop,
+    edge_weight,
     ldim,
+    max_min_query,
     negative_feedback_probability,
     prefix_size,
+    query_rank,
     run_staged_learner,
     sample_target,
     schedule_for,
@@ -19,7 +23,7 @@ from thicket import (
     step_budget,
 )
 
-from helpers import c3, mk_class
+from helpers import c3, mk_class, ref_edge_weight, ref_staged_trials
 
 
 def test_stage_epsilon_halves():
@@ -203,3 +207,103 @@ def test_negative_feedback_rejects_matching_proposal():
     with pytest.raises(ValueError):
         # the prefix proposal is its smallest interval
         negative_feedback_probability(fam, 3, 2)
+
+
+def test_step_budget_premise_holds_in_expectation_only():
+    # A reachable 7-point class of ldim 2. The max-min query c20 drops the
+    # dimension by at least 1/2 in expectation against every target, as
+    # the query graph guarantees, but against c16 it drops it by 2 with
+    # probability 2/5 and not at all otherwise: a fair coin per query is
+    # not a lower bound on the chance of a drop.
+    cc = mk_class(
+        ["0001010", "1000100", "1000110", "0010110", "1000010", "0001100", "0000010"],
+        mu=[Fraction(m, 41) for m in (5, 5, 2, 7, 3, 8, 11)],
+        labels=("c4", "c9", "c14", "c16", "c17", "c18", "c20"),
+    )
+    hyp, target = cc.by_label("c20"), cc.by_label("c16")
+    assert ldim(cc) == 2
+    assert max_min_query(cc) == hyp
+    assert query_rank(cc, hyp) == Fraction(5, 8)
+    assert edge_weight(cc, hyp, target) == Fraction(4, 5)
+    patterns = [c.bits for c in cc.concepts]
+    assert ref_edge_weight(patterns, cc.domain.mu, 6, 3) == Fraction(4, 5)
+    diff = [x for x in cc.domain.points if hyp.value(x) != target.value(x)]
+    drops = {x: drop(cc, target, x) for x in diff}
+    assert drops == {"x3": 2, "x5": 0}
+    mass = sum(cc.domain.weight(x) for x in diff)
+    dropped = sum(cc.domain.weight(x) for x in diff if drops[x] >= 1)
+    assert dropped / mass == Fraction(2, 5)
+
+
+def _seeded_family(k):
+    """A random finite family: 3 to 6 points, up to 10 concepts, every
+    third tau truncated to total mass 63/64."""
+    rng = random.Random(f"staged {k}")
+    n = rng.randint(3, 6)
+    patterns = [
+        tuple(v >> p & 1 for p in range(n))
+        for v in rng.sample(range(2**n), rng.randint(1, min(10, 2**n)))
+    ]
+    raw = [rng.randint(1, 9) for _ in range(n)]
+    mu = [Fraction(r, sum(raw)) for r in raw]
+    weights = [rng.randint(0, 6) for _ in patterns]
+    weights[rng.randrange(len(weights))] += 1
+    total = Fraction(sum(weights)) * (Fraction(64, 63) if k % 3 == 0 else 1)
+    tau = tuple(w / total for w in weights)
+    cc = mk_class(["".join(map(str, c)) for c in patterns], mu=mu)
+    return patterns, mu, tau, cc
+
+
+def test_staged_trials_match_reference_oracle():
+    compared = truncated = 0
+    for k in range(28):
+        patterns, mu, tau, cc = _seeded_family(k)
+        stage_cap = 3 if k % 2 else 30
+        try:
+            expected = ref_staged_trials(patterns, mu, tau, 25, k, stage_cap)
+        except LookupError:
+            with pytest.raises(PriorExhaustedError):
+                staged_trials(FiniteFamily(cc, tau), 25, k, stage_cap)
+            continue
+        summary = staged_trials(FiniteFamily(cc, tau), 25, k, stage_cap)
+        assert summary.counts == tuple(expected), k
+        compared += 1
+        truncated += sum(tau) < 1
+    assert compared >= 20 and truncated >= 3
+
+
+# staged summaries at the commit before prefixes shared one query graph
+# across stages and trials: (ratio, seed, identified, mean, variance, max)
+INTERVAL_PINS = [
+    ("1/2", 0, 100, "87/50", "4331/2475", 10),
+    ("1/2", 5, 100, "183/100", "12611/9900", 7),
+    ("1/7", 0, 100, "123/50", "5221/2475", 11),
+    ("1/7", 5, 100, "123/50", "1757/825", 10),
+    ("1/20", 0, 100, "121/50", "1253/825", 11),
+    ("1/20", 5, 100, "251/100", "18299/9900", 10),
+]
+
+
+@pytest.mark.parametrize("ratio, seed, identified, mean, variance, most", INTERVAL_PINS)
+def test_interval_summaries_pinned(ratio, seed, identified, mean, variance, most):
+    s = staged_trials(IntervalFamily(Fraction(ratio)), 100, seed)
+    assert (s.identified, s.mean, s.variance, s.max_queries) == (
+        identified, Fraction(mean), Fraction(variance), most,
+    )
+
+
+def test_interval_prefixes_atomized_once_each():
+    class Counting(IntervalFamily):
+        def atomize(self, indices):
+            calls.append(len(indices))
+            return super().atomize(indices)
+
+    calls = []
+    fam = Counting()
+    staged_trials(fam, 2500, 0)
+    # one atomization per distinct prefix, against one per stage of every
+    # trial (3,528) when each stage built its own query graph
+    assert calls == sorted(set(calls))
+    assert len(calls) == 11
+    atoms, graph = fam.prefix_graph(calls[-1])
+    assert fam.prefix_graph(calls[-1])[1] is graph
