@@ -18,6 +18,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Any, Callable
 
 from . import __version__
@@ -49,6 +50,9 @@ __all__ = ["main"]
 # sample size they check; refuse more subsets than a full 16-point domain has
 MAX_REPLAY_SUBSETS = 2**16
 MAX_REPLAY_POINTS = MAX_REPLAY_SUBSETS.bit_length() - 1
+# the dimension recursion and the exact DP recurse once per restricted
+# point, so class files read by the CLI stay well inside Python's stack
+MAX_CLASS_POINTS = 256
 
 
 class UsageError(Exception):
@@ -88,7 +92,16 @@ def _report(payload: dict[str, Any], output: str | None) -> None:
 
 def _read_class(path: str) -> ConceptClass:
     with open(path, "rb") as fh:
-        return load_class(fh.read())
+        return _within_size(load_class(fh.read()), path)
+
+
+def _within_size(cc: ConceptClass, path: str) -> ConceptClass:
+    if len(cc.domain) > MAX_CLASS_POINTS:
+        raise OversizedInput(
+            f"class file {path!r} has {len(cc.domain)} points;"
+            f" at most {MAX_CLASS_POINTS} are supported"
+        )
+    return cc
 
 
 def _bound_replay(
@@ -105,21 +118,14 @@ def _bound_replay(
         raise error(f"{subsets} point subsets to replay exceed {MAX_REPLAY_SUBSETS}; {hint}")
 
 
-def _base(command: str, config: dict[str, Any]) -> dict[str, Any]:
-    return {"command": command, "version": __version__, "config": config}
+def _base(command: str, config: dict[str, Any], seed: int | None) -> dict[str, Any]:
+    return {"command": command, "version": __version__, "config": config, "seed": seed}
 
 
 def cmd_ldim(args: argparse.Namespace) -> int:
     cc = _read_class(args.class_file)
-    payload = _base("ldim", {"class": args.class_file})
-    payload.update(
-        {
-            "seed": None,
-            "ldim": ldim(cc),
-            "concepts": len(cc),
-            "points": len(cc.domain),
-        }
-    )
+    payload = _base("ldim", {"class": args.class_file}, None)
+    payload.update({"ldim": ldim(cc), "concepts": len(cc), "points": len(cc.domain)})
     _report(payload, args.output)
     return 0
 
@@ -152,8 +158,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
             "trials": args.trials,
             "seed": args.seed,
         },
+        args.seed,
     )
-    payload["seed"] = args.seed
     payload["summary"] = summary.as_dict(args.class_file, args.target)
     _report(payload, args.output)
     return 0
@@ -163,16 +169,8 @@ def cmd_learn_exact(args: argparse.Namespace) -> int:
     cc = _read_class(args.class_file)
     target = _resolve_target(cc, args.target)
     expected = exact_expected_queries(cc, target)
-    payload = _base(
-        "learn-exact", {"class": args.class_file, "target": args.target}
-    )
-    payload.update(
-        {
-            "seed": None,
-            "expected_queries": str(expected),
-            "ldim": ldim(cc),
-        }
-    )
+    payload = _base("learn-exact", {"class": args.class_file, "target": args.target}, None)
+    payload.update({"expected_queries": str(expected), "ldim": ldim(cc)})
     _report(payload, args.output)
     return 0
 
@@ -194,6 +192,7 @@ def cmd_staged(args: argparse.Namespace) -> int:
         path = args.family[len("file:"):]
         with open(path, "rb") as fh:
             cc, tau = load_class_with_prior(fh.read())
+        _within_size(cc, path)
         if tau is None:
             raise UsageError(f"class file {path!r} has no tau prior")
         family = FiniteFamily(cc, tau, name=args.family)
@@ -214,8 +213,8 @@ def cmd_staged(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "stage_cap": args.stage_cap,
         },
+        args.seed,
     )
-    payload["seed"] = args.seed
     payload["summary"] = summary.as_dict()
     _report(payload, args.output)
     return 0
@@ -230,8 +229,8 @@ def cmd_compress(args: argparse.Namespace) -> int:
             "verify": args.verify,
             "max_sample_size": args.max_sample_size,
         },
+        None,
     )
-    payload["seed"] = None
     if args.verify:
         _bound_replay(
             cc, args.max_sample_size, UsageError, "bound them with --max-sample-size"
@@ -266,33 +265,36 @@ def _verify_one(cc: ConceptClass, max_cycle_len: int) -> list[dict[str, Any]]:
             {"check": check, "detail": detail, "class_file": _class_document(cc)}
         )
 
+    # a pair split at p takes both labels there, so its drop sum is
+    # drop(C, ., p) at label 0 plus at label 1, the same for every such pair
+    split = [
+        sum(d - cache.ldim_mask(cache.restrict_mask(mask, p, v)) for v in (0, 1))
+        for p in range(len(cc.domain))
+    ]
+    edges = graph.edges(mask)
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = cc.concepts[i], cc.concepts[j]
             for p in graph.diff_points(i, j):
-                point = cc.domain.points[p]
-                # drop(cc, c, point) on the full mask, without re-encoding cc
-                drops = sum(
-                    d - cache.ldim_mask(cache.restrict_mask(mask, p, c.bits[p]))
-                    for c in (a, b)
-                )
-                if drops < 1:
+                if split[p] < 1:
                     blame(
                         "drop_sums",
-                        f"drops at {point} for {cc.label(i)},{cc.label(j)} sum below 1",
+                        f"drops at {cc.domain.points[p]} for {cc.label(i)},{cc.label(j)}"
+                        " sum below 1",
                     )
-            w_ij = graph.weight(mask, i, j)
-            w_ji = graph.weight(mask, j, i)
-            if w_ij + w_ji < 1:
+            (n_ij, d_ij), (n_ji, d_ji) = edges[i, j], edges[j, i]
+            if n_ij * d_ji + n_ji * d_ij < d_ij * d_ji:
                 blame(
                     "edge_weight_sums",
                     f"d({cc.label(i)},{cc.label(j)}) + d({cc.label(j)},{cc.label(i)})"
-                    f" = {w_ij + w_ji} < 1",
+                    f" = {Fraction(n_ij, d_ij) + Fraction(n_ji, d_ji)} < 1",
                 )
     if n >= 2:
-        best = max(graph.rank(mask, i) for i in range(n))
-        if best < Fraction(1, 2):
-            blame("max_query_rank", f"maximal query rank {best} below 1/2")
+        # ranks are row minima of the table, compared by cross-multiplication
+        ratio = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+        rows = [min((edges[i, j] for j in range(n) if j != i), key=ratio) for i in range(n)]
+        num, den = max(rows, key=ratio)
+        if 2 * num < den:
+            blame("max_query_rank", f"maximal query rank {Fraction(num, den)} below 1/2")
     cycle = find_deficient_cycle(cc, max_cycle_len, graph)
     if cycle is not None:
         blame(
@@ -356,12 +358,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     violations: list[dict[str, Any]] = []
     for cc in classes:
         violations.extend(_verify_one(cc, args.max_cycle_len))
-    payload = _base(
-        "verify", {**source, "max_cycle_len": args.max_cycle_len}
-    )
+    payload = _base("verify", {**source, "max_cycle_len": args.max_cycle_len}, args.seed)
     payload.update(
         {
-            "seed": args.seed,
             "classes_checked": len(classes),
             "checks": checks,
             "violations": violations,

@@ -201,10 +201,10 @@ def exact_expected_queries(
         graph = QueryGraph(concept_class)
     cache = graph.cache
     t = graph.root.index_of(target)
-    if not (cache.mask_of(concept_class) >> t) & 1:
+    start = cache.mask_of(concept_class)
+    if not (start >> t) & 1:
         raise ValueError("target is not a member of the class")
-    mu = graph.root.domain.mu
-    target_bits = target.bits
+    mass, target_bits = graph.mass, target.bits
     memo: dict[int, Fraction] = {}
 
     def expect(mask: int) -> Fraction:
@@ -212,19 +212,17 @@ def exact_expected_queries(
         if hit is not None:
             return hit
         q = graph.best_query(mask)
-        if q == t:
-            memo[mask] = Fraction(1)
-            return memo[mask]
-        points = graph.diff_points(q, t)
-        total = sum((mu[p] for p in points), Fraction(0))
         acc = Fraction(1)
-        for p in points:
-            sub = cache.restrict_mask(mask, p, target_bits[p])
-            acc += (mu[p] / total) * expect(sub)
+        if q != t:
+            # mu conditioned on the difference is mass[p] / D in the graph's integers
+            points, total = graph.diff_mass(q, t)
+            for p in points:
+                sub = cache.restrict_mask(mask, p, target_bits[p])
+                acc += Fraction(mass[p], total) * expect(sub)
         memo[mask] = acc
         return acc
 
-    return expect(cache.mask_of(concept_class))
+    return expect(start)
 
 
 @dataclass(frozen=True)

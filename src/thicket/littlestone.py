@@ -130,9 +130,7 @@ class LdimCache:
 
 
 def _cache_for(concept_class: ConceptClass, cache: LdimCache | None) -> tuple[LdimCache, int]:
-    if cache is None:
-        cache = LdimCache(concept_class)
-        return cache, cache.full_mask
+    cache = cache or LdimCache(concept_class)
     return cache, cache.mask_of(concept_class)
 
 

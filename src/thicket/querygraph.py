@@ -23,14 +23,16 @@ the max-min query choice with lowest-index tie-breaking. It scales mu
 exactly to integers once, computes weights lazily in integer arithmetic
 and returns them as Fractions. It memoizes the difference points and
 their mass per concept pair, read off the XOR of the cache's point bits,
-and the chosen query per subclass, but no weight: within one subclass
-the per-point dimension drops are shared across all edges instead.
+and the chosen query per subclass. Within one subclass the per-point
+dimension drops are shared across all edges, and the graph keeps the
+last integer edge table it built for every check of that subclass.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import permutations
 
 from .concepts import Concept, ConceptClass
 from .littlestone import LdimCache
@@ -42,9 +44,6 @@ __all__ = [
     "max_min_query",
     "query_rank",
 ]
-
-_HALF = Fraction(1, 2)
-
 
 class QueryGraph:
     """Lazy edge-weight and query-selection engine for one root class.
@@ -82,6 +81,7 @@ class QueryGraph:
         # per unordered pair: difference points and their integer mass D
         self._diffs: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
         self._best: dict[int, int] = {}
+        self._edges: tuple[int, dict[tuple[int, int], tuple[int, int]]] = (-1, {})
 
     def diff_mass(self, i: int, j: int) -> tuple[tuple[int, ...], int]:
         """Points where concepts i and j disagree, ascending, and their
@@ -145,6 +145,20 @@ class QueryGraph:
     def _gains(self) -> list[int | None]:
         return [None] * len(self._slot_masks)
 
+    def edges(self, mask: int) -> dict[tuple[int, int], tuple[int, int]]:
+        """Integer (N, D) of every ordered edge (i, j) of the subclass, in
+        index order, from one gains vector. The graph keeps the last table
+        and shares it, so callers only read it."""
+        if self._edges[0] != mask:
+            gains = self._gains()
+            members = [i for i in range(mask.bit_length()) if mask >> i & 1]
+            table = {
+                (i, j): self._lightest(mask, i, 1 << j, gains)
+                for i, j in permutations(members, 2)
+            }
+            self._edges = (mask, table)
+        return self._edges[1]
+
     def weight(self, mask: int, i: int, j: int) -> Fraction:
         """d(concepts[i], concepts[j]) within the subclass `mask`."""
         if i == j:
@@ -181,9 +195,7 @@ class QueryGraph:
 
 
 def _whole(concept_class: ConceptClass, graph: QueryGraph | None) -> tuple[QueryGraph, int]:
-    if graph is None:
-        graph = QueryGraph(concept_class)
-        return graph, graph.cache.full_mask
+    graph = graph or QueryGraph(concept_class)
     return graph, graph.cache.mask_of(concept_class)
 
 
@@ -227,42 +239,42 @@ def find_deficient_cycle(
 
     Such a cycle would let an adversary rotate the target forever while
     the class dimension drops by less than one per two queries, so none
-    can exist; the search is the falsifiable check of that claim. Simple
-    cycles up to `max_len` vertices are enumerated, each started from its
-    smallest vertex. Returns the cycle's concepts in order, or None.
+    can exist; the search is the falsifiable check of that claim. A
+    strict edge (u, v) of the graph's edge table lies on such a cycle of
+    at most `max_len` vertices exactly when a breadth-first search from
+    v over light edges reaches u within `max_len - 1` steps; the shortest
+    such path is simple. The first strict edge in table order that closes
+    gives the cycle v, ..., u along that path (neighbors in index order),
+    returned as concepts; None when there is none.
     """
     if max_len < 2:
         raise ValueError("a cycle needs at least 2 vertices")
     graph, mask = _whole(concept_class, graph)
-    indices = [i for i in range(len(graph.root.concepts)) if mask >> i & 1]
-    light: dict[int, list[int]] = {i: [] for i in indices}
-    strict: set[tuple[int, int]] = set()
-    for i in indices:
-        for j in indices:
-            if i == j:
-                continue
-            w = graph.weight(mask, i, j)
-            if w <= _HALF:
-                light[i].append(j)
-                if w < _HALF:
-                    strict.add((i, j))
-
-    def walk(start: int, here: int, seen: set[int], path: list[int], any_strict: bool):
-        for nxt in light[here]:
-            if nxt == start and len(path) >= 2:
-                if any_strict or (here, start) in strict:
-                    return path
-            elif nxt > start and nxt not in seen and len(path) < max_len:
-                found = walk(
-                    start, nxt, seen | {nxt}, path + [nxt],
-                    any_strict or (here, nxt) in strict,
-                )
-                if found:
-                    return found
-        return None
-
-    for start in indices:
-        cycle = walk(start, start, {start}, [start], False)
-        if cycle:
-            return tuple(graph.root.concepts[i] for i in cycle)
+    table = graph.edges(mask)
+    light: dict[int, list[int]] = {}
+    for (i, j), (num, den) in table.items():
+        if 2 * num <= den:
+            light.setdefault(i, []).append(j)
+    trees: dict[int, dict[int, int]] = {}
+    for (u, v), (num, den) in table.items():
+        if 2 * num >= den:
+            continue
+        tree = trees.get(v)
+        if tree is None:
+            # parent links of the breadth-first tree of light paths from v
+            tree = trees[v] = {v: v}
+            frontier = [v]
+            for _ in range(max_len - 1):
+                reached = []
+                for x in frontier:
+                    for y in light.get(x, ()):
+                        if y not in tree:
+                            tree[y] = x
+                            reached.append(y)
+                frontier = reached
+        if u in tree:
+            cycle = [u]
+            while cycle[-1] != v:
+                cycle.append(tree[cycle[-1]])
+            return tuple(graph.root.concepts[i] for i in reversed(cycle))
     return None

@@ -283,13 +283,15 @@ class IntervalFamily(CountableFamily):
             bits = tuple(1 if j == k else 0 for j in range(len(indices))) + (0,)
             concepts.append(Concept(domain, bits))
         cls = ConceptClass(domain, tuple(concepts), tuple(names))
-        spans = [(name, self.interval(i)) for name, i in zip(names, indices)]
+        slots = {i + 1: name for name, i in zip(names, indices)}
 
         def locate(point: Any) -> str:
-            for name, (low, high) in spans:
-                if low < point < high:
-                    return name
-            return "rest"
+            # x = a/b lies in (1/(k+1), 1/k) for k = b // a, unless a divides b
+            x = Fraction(point)
+            if x <= 0:
+                return "rest"
+            k, r = divmod(x.denominator, x.numerator)
+            return slots.get(k, "rest") if r else "rest"
 
         return AtomizedPrefix(cls, locate)
 

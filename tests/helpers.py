@@ -9,7 +9,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from thicket import Concept, ConceptClass, Domain
 
@@ -55,6 +55,23 @@ def ref_max_min(patterns, mu):
     """Index of the pattern of maximal rank, the lowest index on ties."""
     ranks = [ref_rank(patterns, mu, i) for i in range(len(patterns))]
     return ranks.index(max(ranks))
+
+
+def ref_deficient_cycle(weights, n, max_len):
+    """Brute force over the simple cycles of a planted weight table
+    {(i, j): weight} on vertices 0..n-1: the first cycle of at most
+    `max_len` vertices, shortest first and each started from its
+    smallest vertex, whose edges all weigh at most 1/2 with one strictly
+    below; None when there is none."""
+    half = Fraction(1, 2)
+    for size in range(2, max_len + 1):
+        for chosen in combinations(range(n), size):
+            for rest in permutations(chosen[1:]):
+                cycle = (chosen[0],) + rest
+                ws = [weights[cycle[k], cycle[(k + 1) % size]] for k in range(size)]
+                if max(ws) <= half and min(ws) < half:
+                    return cycle
+    return None
 
 
 def ref_lowest_index_expected_queries(patterns, mu, t, alive=None):

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from thicket import ConceptClass, Domain, __version__, load_class
-from thicket import compression
+from thicket import QueryGraph, cli, compression
 from thicket.cli import main
+from thicket.generate import random_classes
 
 from helpers import c3, mk_class, powerset3, ref_sample_count, write_class_file
 
@@ -375,3 +376,89 @@ def test_staged_truncated_prior_exits_3(tmp_path, tau, seed, message):
     assert not proc.stdout
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def one_hot_file(path, n, tau=False):
+    cc = mk_class(["".join("1" if p == i else "0" for p in range(n)) for i in range(n)])
+    return write_class_file(path, cc, (Fraction(1, n),) * n if tau else None)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ldim", "--class", "{path}"],
+        ["learn", "--class", "{path}", "--target", "c0", "--trials", "1"],
+        ["learn-exact", "--class", "{path}", "--target", "c0"],
+        ["compress", "--class", "{path}"],
+        ["staged", "--family", "file:{path}", "--trials", "1"],
+    ],
+)
+def test_oversized_class_file_exits_3(capsys, tmp_path, argv):
+    # the dimension recursion and the exact DP recurse once per point
+    path = one_hot_file(tmp_path / "wide.json", 257, tau=True)
+    code, out, err = run(capsys, [a.format(path=path) for a in argv])
+    assert code == 3
+    assert not out
+    assert "257 points" in err and "at most 256" in err
+    assert "Traceback" not in err
+
+
+def test_class_file_at_the_point_limit_is_read(capsys, tmp_path):
+    path = one_hot_file(tmp_path / "edge.json", 256)
+    code, out, _ = run(capsys, ["ldim", "--class", path])
+    assert code == 0
+    assert json.loads(out)["ldim"] == 1
+
+
+def test_verify_reports_failed_query_graph_checks(capsys, c3_file, monkeypatch):
+    # every edge weighs 1/3: opposite sums, the best rank and every
+    # two-cycle fall short
+    def thin_edges(self, mask):
+        members = [i for i in range(3) if mask >> i & 1]
+        return {(i, j): (1, 3) for i in members for j in members if i != j}
+
+    monkeypatch.setattr(QueryGraph, "edges", thin_edges)
+    code, out, _ = run(capsys, ["verify", "--class", c3_file])
+    assert code == 1
+    doc = json.loads(out)
+    assert not doc["ok"]
+    assert [(v["check"], v["detail"]) for v in doc["violations"]] == [
+        ("edge_weight_sums", "d(A,B) + d(B,A) = 2/3 < 1"),
+        ("edge_weight_sums", "d(A,C) + d(C,A) = 2/3 < 1"),
+        ("edge_weight_sums", "d(B,C) + d(C,B) = 2/3 < 1"),
+        ("max_query_rank", "maximal query rank 1/3 below 1/2"),
+        ("no_deficient_cycles", "deficient cycle through 01,10"),
+    ]
+
+
+def test_verify_builds_one_edge_table_per_class(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("verify reads weights and ranks off the edge table")
+
+    real_edges, real_lightest = QueryGraph.edges, QueryGraph._lightest
+    tables, scans, building = [], [0], [False]
+
+    def edges(self, mask):
+        building[0] = True
+        try:
+            table = real_edges(self, mask)
+        finally:
+            building[0] = False
+        tables.append(table)
+        return table
+
+    def lightest(self, *args, **kwargs):
+        scans[0] += building[0]
+        return real_lightest(self, *args, **kwargs)
+
+    monkeypatch.setattr(QueryGraph, "weight", forbidden)
+    monkeypatch.setattr(QueryGraph, "rank", forbidden)
+    monkeypatch.setattr(QueryGraph, "edges", edges)
+    monkeypatch.setattr(QueryGraph, "_lightest", lightest)
+    for cc in random_classes(606, 40, 4, 6):
+        tables.clear()
+        scans[0] = 0
+        assert cli._verify_one(cc, 5) == []
+        # verify and the cycle search share one table, built edge by edge once
+        assert len(tables) == 2 and tables[0] is tables[1]
+        assert scans[0] == len(cc) * (len(cc) - 1) == len(tables[0])

@@ -1,7 +1,8 @@
 import math
 import random
+import time
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -15,7 +16,14 @@ from thicket import (
 )
 from thicket.generate import random_classes
 
-from helpers import c3, mk_class, ref_edge_weight, ref_max_min, ref_rank
+from helpers import (
+    c3,
+    mk_class,
+    ref_deficient_cycle,
+    ref_edge_weight,
+    ref_max_min,
+    ref_rank,
+)
 
 HALF = Fraction(1, 2)
 
@@ -71,6 +79,76 @@ def test_no_deficient_cycle_trivially():
 def test_deficient_cycle_length_validation():
     with pytest.raises(ValueError):
         find_deficient_cycle(c3(), 1)
+
+
+def one_hot(n):
+    return mk_class(["".join("1" if p == i else "0" for p in range(n)) for i in range(n)])
+
+
+# planted (N, D) weights, some unreduced: strict, exactly 1/2, heavy
+STRICT, EVEN, HEAVY = ((0, 1), (1, 3), (2, 6)), ((1, 2), (3, 6)), ((2, 3), (4, 6), (1, 1))
+
+
+def planted_table(rng, n):
+    """Random weights with a random share of light edges. Half the tables
+    then turn most edges heavy around a planted light ring, which may
+    hold a strict edge, so long cycles arise as well as short ones."""
+    share = rng.random()
+    table = {
+        e: rng.choice(STRICT + EVEN if rng.random() < share else HEAVY)
+        for e in permutations(range(n), 2)
+    }
+    if rng.random() < 0.5:
+        table = {e: w if rng.random() < 0.1 else rng.choice(HEAVY) for e, w in table.items()}
+        ring = rng.sample(range(n), rng.randint(2, n))
+        for u, v in zip(ring, ring[1:] + ring[:1]):
+            table[u, v] = rng.choice(EVEN + STRICT[:1])
+    return table
+
+
+def test_deficient_cycle_search_matches_brute_force_on_planted_tables():
+    rng = random.Random(2017)
+    lengths = []
+    for _ in range(2000):
+        n = rng.randint(2, 6)
+        cc = one_hot(n)
+        graph = QueryGraph(cc)
+        planted = planted_table(rng, n)
+        graph.edges = lambda mask: planted
+        ref = ref_deficient_cycle({e: Fraction(*w) for e, w in planted.items()}, n, 6)
+        lengths.append(len(ref) if ref else None)
+        for max_len in range(2, 7):
+            found = find_deficient_cycle(cc, max_len, graph)
+            assert (found is None) == (ref is None or len(ref) > max_len)
+            if found is None:
+                continue
+            cycle = [cc.index_of(c) for c in found]
+            assert 2 <= len(cycle) <= max_len
+            assert len(set(cycle)) == len(cycle)
+            steps = [planted[u, cycle[(k + 1) % len(cycle)]] for k, u in enumerate(cycle)]
+            assert all(2 * num <= den for num, den in steps)
+            assert any(2 * num < den for num, den in steps)
+    # the tables reach every cycle length, and cycle-free tables too
+    assert set(lengths) == {None, 2, 3, 4, 5, 6}
+
+
+def test_deficient_cycle_search_is_polynomial_in_the_length():
+    # every edge of a one-hot class weighs exactly 1/2: all light, none strict
+    cc = one_hot(16)
+    start = time.perf_counter()
+    assert find_deficient_cycle(cc, 16) is None
+    assert time.perf_counter() - start < 0.1
+
+
+def test_edge_table_matches_weights_and_is_kept():
+    for cc in random_classes(4242, 30, 4, 6):
+        graph = QueryGraph(cc)
+        mask = graph.cache.full_mask
+        table = graph.edges(mask)
+        assert list(table) == [(i, j) for i in range(len(cc)) for j in range(len(cc)) if i != j]
+        for (i, j), (num, den) in table.items():
+            assert Fraction(num, den) == graph.weight(mask, i, j)
+        assert graph.edges(mask) is table
 
 
 def test_weights_match_plain_recursion_oracle():

@@ -112,6 +112,18 @@ def test_atomize_first_three_intervals():
     assert atoms.locate(Fraction(1, 2)) == "rest"
 
 
+def test_atomized_locate_matches_the_interval_scan():
+    fam = IntervalFamily()
+    indices = [4, 0, 2, 9]
+    atoms = fam.atomize(indices)
+    rng = random.Random(88)
+    points = [Fraction(rng.randint(-3, 40), rng.randint(1, 40)) for _ in range(2000)]
+    points += [Fraction(1, n) for n in range(1, 13)] + [Fraction(0), Fraction(-1, 2), Fraction(7, 3)]
+    for x in points:
+        expected = [f"i{i + 1}" for i in indices if fam.eval(i, x)] or ["rest"]
+        assert atoms.locate(x) == expected[0]
+
+
 def test_nonuniform_ratio_prior():
     fam = IntervalFamily(Fraction(1, 3))
     assert fam.prior(0) == Fraction(1, 3)
