@@ -50,8 +50,8 @@ __all__ = ["main"]
 # sample size they check; refuse more subsets than a full 16-point domain has
 MAX_REPLAY_SUBSETS = 2**16
 MAX_REPLAY_POINTS = MAX_REPLAY_SUBSETS.bit_length() - 1
-# the dimension recursion and the exact DP recurse once per restricted
-# point, so class files read by the CLI stay well inside Python's stack
+# the dimension recursion can recurse once per restricted point, so class
+# files read by the CLI stay well inside Python's stack
 MAX_CLASS_POINTS = 256
 
 
@@ -251,6 +251,16 @@ def _class_document(cc: ConceptClass) -> str:
     return save_class(cc).decode("utf-8")
 
 
+def _drop_sums(cache: LdimCache, mask: int) -> list[int]:
+    """Per point p, drop(C, ., p) at label 0 plus at label 1: a pair split
+    at p takes both labels there, so this is the drop sum of every such pair."""
+    d = cache.ldim_mask(mask)
+    return [
+        sum(d - cache.ldim_mask(cache.restrict_mask(mask, p, v)) for v in (0, 1))
+        for p in range(len(cache.root.domain))
+    ]
+
+
 def _verify_one(cc: ConceptClass, max_cycle_len: int) -> list[dict[str, Any]]:
     """All exact property checks for one class; returns violations."""
     problems: list[dict[str, Any]] = []
@@ -265,12 +275,7 @@ def _verify_one(cc: ConceptClass, max_cycle_len: int) -> list[dict[str, Any]]:
             {"check": check, "detail": detail, "class_file": _class_document(cc)}
         )
 
-    # a pair split at p takes both labels there, so its drop sum is
-    # drop(C, ., p) at label 0 plus at label 1, the same for every such pair
-    split = [
-        sum(d - cache.ldim_mask(cache.restrict_mask(mask, p, v)) for v in (0, 1))
-        for p in range(len(cc.domain))
-    ]
+    split = _drop_sums(cache, mask)
     edges = graph.edges(mask)
     for i in range(n):
         for j in range(i + 1, n):

@@ -13,7 +13,9 @@ the decision acc > (r / 2**64) * D makes in the dyadic rationals. So
 sampling is reproducible across platforms and exact up to 2**-64. The
 learner draws on the query graph's masses, mu scaled once, so a Monte
 Carlo trial builds no Fraction. Exact expected query counts come from a
-separate memoized recursion, not from simulation.
+separate dynamic program over the reachable subclasses, not from
+simulation; it walks them on an explicit stack, so no recursion depth
+grows with the class.
 """
 
 from __future__ import annotations
@@ -206,23 +208,35 @@ def exact_expected_queries(
         raise ValueError("target is not a member of the class")
     mass, target_bits = graph.mass, target.bits
     memo: dict[int, Fraction] = {}
-
-    def expect(mask: int) -> Fraction:
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
+    # post-order over the reachable masks on an explicit stack: a mask is
+    # expanded (one best_query) when first popped, then pushed back with
+    # its terms under the restrictions it leads to, so it is valued after
+    # them; restrictions drop the queried concept, so they are strictly
+    # smaller and the walk has no cycles
+    stack: list[tuple[int, int, list[tuple[int, int]] | None]] = [(start, 0, None)]
+    while stack:
+        mask, total, subs = stack.pop()
+        if subs is not None:
+            # 1 + sum of m * E(sub) / total, over one common denominator
+            values = [memo[sub] for _, sub in subs]
+            scale = math.lcm(*(v.denominator for v in values))
+            num = sum(
+                m * v.numerator * (scale // v.denominator) for (m, _), v in zip(subs, values)
+            )
+            memo[mask] = Fraction(num + scale * total, scale * total)
+            continue
+        if mask in memo:
+            continue
         q = graph.best_query(mask)
-        acc = Fraction(1)
-        if q != t:
-            # mu conditioned on the difference is mass[p] / D in the graph's integers
-            points, total = graph.diff_mass(q, t)
-            for p in points:
-                sub = cache.restrict_mask(mask, p, target_bits[p])
-                acc += Fraction(mass[p], total) * expect(sub)
-        memo[mask] = acc
-        return acc
-
-    return expect(start)
+        if q == t:
+            memo[mask] = Fraction(1)
+            continue
+        # mu conditioned on the difference is mass[p] / D in the graph's integers
+        points, total = graph.diff_mass(q, t)
+        subs = [(mass[p], cache.restrict_mask(mask, p, target_bits[p])) for p in points]
+        stack.append((mask, total, subs))
+        stack.extend((sub, 0, None) for _, sub in reversed(subs) if sub not in memo)
+    return memo[start]
 
 
 @dataclass(frozen=True)

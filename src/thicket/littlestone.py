@@ -9,15 +9,19 @@ equivalent restriction recursion
     ldim(C)         = max over splitting points x of
                       1 + min(ldim(C restricted to x=0), ldim(C restricted to x=1))
 
-with memoization over subclasses and two prunings that never change a
-value. The scan over splitting points stops once it reaches
+with memoization over subclasses and shortcuts that never change a
+value. Concepts are distinct, so a class of two or three concepts has
+dimension 1 and classes of fewer than four are answered from their size,
+with no memo entry. The scan over splitting points stops once it reaches
 floor(log2 |C|), the largest dimension |C| concepts can have. Each
 split looks at its side with fewer concepts first and skips the other
 side when 1 + ldim(that side) cannot beat the best split so far, since
 the minimum is at most either side; a side too small to beat it by that
-log2 cap is skipped unexamined. On a class of n singleton concepts the
-second pruning keeps the memo to about n entries, where the plain
-recursion visits about 2^n subclasses.
+log2 cap is skipped unexamined. When the smaller side has dimension 0
+or 1 the split is worth 1 + that without the larger side, which has at
+least as many concepts. On a class of n singleton concepts these
+prunings leave one memo entry and one level of recursion, where the
+plain recursion visits about 2^n subclasses, n levels deep.
 
 Subclasses of one root class are encoded as bitmasks over the root's
 concept indices, so the same cache serves every caller that works on
@@ -94,10 +98,10 @@ class LdimCache:
 
     def ldim_mask(self, mask: int) -> int:
         count = mask.bit_count()
-        if count == 0:
-            return -1
-        if count == 1:
-            return 0
+        if count < 4:
+            # concepts are distinct, so two or three of them split at some
+            # point, and three are too few for a tree of depth 2
+            return count.bit_length() - 1
         hit = self._memo.get(mask)
         if hit is not None:
             return hit
@@ -120,7 +124,9 @@ class LdimCache:
             low = self.ldim_mask(small)
             if low < best:
                 continue
-            candidate = 1 + min(low, self.ldim_mask(mask ^ small))
+            # the larger side has at least as many concepts, so it has
+            # dimension at least min(low, 1)
+            candidate = 1 + (low if low <= 1 else min(low, self.ldim_mask(mask ^ small)))
             if candidate > best:
                 best = candidate
                 if best == upper:

@@ -21,18 +21,20 @@ the learner's expected counterexample count by twice the dimension.
 bitmasks shared with :class:`~thicket.littlestone.LdimCache`, and exposes
 the max-min query choice with lowest-index tie-breaking. It scales mu
 exactly to integers once, computes weights lazily in integer arithmetic
-and returns them as Fractions. It memoizes the difference points and
-their mass per concept pair, read off the XOR of the cache's point bits,
-and the chosen query per subclass. Within one subclass the per-point
-dimension drops are shared across all edges, and the graph keeps the
-last integer edge table it built for every check of that subclass.
+and returns them as Fractions. Each concept's outgoing edges within a
+subclass are packed into one row of fixed-width integer lanes, so query
+selection prunes a candidate with one lane-wise test against the
+incumbent's rank and reads exact lanes only for the first candidate and
+for each one that beats it. The graph memoizes the difference points
+and their mass per concept pair, read off the XOR of the cache's point
+bits, and the chosen query per subclass, and keeps the last integer
+edge table it built for every check of that subclass.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations
 
 from .concepts import Concept, ConceptClass
 from .littlestone import LdimCache
@@ -44,6 +46,11 @@ __all__ = [
     "max_min_query",
     "query_rank",
 ]
+
+# a subclass's shared row terms: base N and D lane vectors, then one
+# (point bit, dN, dD) per split point
+_Layout = tuple[int, int, list[tuple[int, int, int]]]
+
 
 class QueryGraph:
     """Lazy edge-weight and query-selection engine for one root class.
@@ -59,10 +66,13 @@ class QueryGraph:
         N = sum over p in diff(A, B) of m_p * (ldim(C) - ldim(C at p = B(p)))
         D = sum over p in diff(A, B) of m_p
 
-    (L cancels). D depends only on the pair and is cached with its
-    difference points; N is rebuilt per subclass from per-point gains.
-    Query selection compares (N, D) pairs by cross-multiplication, so a
-    Fraction is built only when a weight or rank leaves the class.
+    (L cancels). Two members of a subclass disagree only at points that
+    split it, so one concept's outgoing edges are sums over those points.
+    The graph packs them into one row per concept: two big ints whose
+    lane j, `width` bits wide from bit j * width, holds N and D of the
+    edge to root concept j. Query selection tests a whole row against
+    the incumbent's rank in one lane-wise comparison, and a Fraction is
+    built only when a weight or rank leaves the class.
     """
 
     def __init__(self, root: ConceptClass, cache: LdimCache | None = None) -> None:
@@ -74,10 +84,21 @@ class QueryGraph:
         scale = math.lcm(*(w.denominator for w in mu))
         #: integer point masses m_p = mu(p) * L, shared with the learner's draws
         self.mass = [w.numerator * (scale // w.denominator) for w in mu]
-        # gain slot 2p + v: a counterexample at point p labeled v
-        self._slot_masks = [
-            self.cache.level_mask(p, v) for p in range(len(mu)) for v in (0, 1)
-        ]
+        self._ones = [self.cache.level_mask(p, 1) for p in range(len(mu))]
+        # Every lane obeys N <= ldim * D and D <= L, an incumbent's (a, b)
+        # too, and no subclass has ldim above floor(log2 |root|): products
+        # N * b and a * D stay below 2**(width - 1), so a lane of
+        # N * b - a * D + bias lies in [0, 2**width) and never borrows.
+        bound = (len(root.concepts).bit_length() - 1) * scale * scale
+        self._width = bound.bit_length() + 1
+        self._pad = "0" * (self._width - 1)
+        self._lane = (1 << self._width) - 1
+        self._all = self._spread(self.cache.full_mask)
+        # with bias 2**(width - 1) - 1, a lane's top bit is set iff N * b > a * D
+        self._bias = (self._lane >> 1) * self._all
+        # per point: lane spread of the concepts labeled 1 there, built
+        # the first time a subclass splits at the point
+        self._lanes: dict[int, int] = {}
         # per unordered pair: difference points and their integer mass D
         self._diffs: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
         self._best: dict[int, int] = {}
@@ -102,94 +123,136 @@ class QueryGraph:
         """Point indices where concepts i and j disagree (order-insensitive)."""
         return self.diff_mass(i, j)[0]
 
-    def _lightest(
-        self,
-        mask: int,
-        i: int,
-        targets: int,
-        gains: list[int | None],
-        floor: tuple[int, int] | None = None,
-    ) -> tuple[int, int]:
-        """Lightest edge from concepts[i] to a concept in `targets`,
-        within the subclass `mask`, as (N, D) scanned in index order.
+    def _spread(self, mask: int) -> int:
+        """Lane vector holding bit j of `mask` in lane j."""
+        return int(self._pad.join(bin(mask)[2:]), 2)
 
-        (1, 0) stands for +inf when no target is left. `gains` holds the
-        subclass's numerator terms by slot, filled on first use. Once
-        the running minimum is at or below `floor` the scan stops and
-        returns it: such a concept cannot beat the incumbent.
+    def _layout(self, mask: int) -> _Layout:
+        """Row parts of the subclass.
+
+        A concept labeled v at a split point p reaches the members labeled
+        1 - v there, each edge gaining m_p * drop in N and m_p in D. The
+        rows of concepts labeled 0 at every split point are the returned
+        (N, D) base; each (point bit, dN, dD) after it turns one split
+        point's label to 1.
         """
-        cache = self.cache
+        cache, lanes, mass = self.cache, self._lanes, self.mass
         here = cache.ldim_mask(mask)
-        mass, slot_masks, concepts = self.mass, self._slot_masks, self.root.concepts
+        base_n = base_d = 0
+        deltas = []
+        for p, ones in enumerate(self._ones):
+            ones &= mask
+            if not ones or ones == mask:
+                continue
+            s1 = lanes.get(p)
+            if s1 is None:
+                s1 = lanes[p] = self._spread(self._ones[p])
+            s0 = self._all - s1
+            m = mass[p]
+            to_ones = m * (here - cache.ldim_mask(ones)) * s1
+            to_zeros = m * (here - cache.ldim_mask(mask ^ ones)) * s0
+            base_n += to_ones
+            base_d += m * s1
+            deltas.append((1 << p, to_zeros - to_ones, m * (s0 - s1)))
+        return base_n, base_d, deltas
+
+    def _row(self, layout: _Layout, i: int) -> tuple[int, int]:
+        """Lane vectors (N, D) of concepts[i]'s edges within the subclass
+        of `layout`. Lanes of concepts outside it hold bounded values no
+        caller reads."""
+        num, den, deltas = layout
+        bits = self.cache.point_bits[i]
+        for bit, dn, dd in deltas:
+            if bits & bit:
+                num += dn
+                den += dd
+        return num, den
+
+    def _lightest(self, i: int, targets: int, row: tuple[int, int]) -> tuple[int, int]:
+        """Lightest edge from concepts[i] to a concept in `targets`, as
+        exact (N, D) read off its row in index order; (1, 0) stands for
+        +inf when no target is left."""
+        nums, dens = row
+        width, lane = self._width, self._lane
         best_n, best_d = 1, 0
         rest = targets & ~(1 << i)
         while rest:
             low = rest & -rest
             rest ^= low
-            j = low.bit_length() - 1
-            points, den = self.diff_mass(i, j)
-            target = concepts[j].bits
-            num = 0
-            for p in points:
-                s = 2 * p + target[p]
-                g = gains[s]
-                if g is None:
-                    g = gains[s] = mass[p] * (here - cache.ldim_mask(mask & slot_masks[s]))
-                num += g
+            shift = (low.bit_length() - 1) * width
+            num, den = nums >> shift & lane, dens >> shift & lane
             if num * best_d < best_n * den:
                 best_n, best_d = num, den
-                if floor is not None and num * floor[1] <= floor[0] * den:
-                    break
         return best_n, best_d
 
-    def _gains(self) -> list[int | None]:
-        return [None] * len(self._slot_masks)
+    def _member_row(self, mask: int, i: int, *others: int) -> tuple[int, int]:
+        """Row of concepts[i], after checking that it and `others` are
+        members of the subclass."""
+        for k in (i, *others):
+            if not mask >> k & 1:
+                raise ValueError("concept is not a member of the subclass")
+        return self._row(self._layout(mask), i)
 
     def edges(self, mask: int) -> dict[tuple[int, int], tuple[int, int]]:
         """Integer (N, D) of every ordered edge (i, j) of the subclass, in
-        index order, from one gains vector. The graph keeps the last table
-        and shares it, so callers only read it."""
+        index order, from one row per concept. The graph keeps the last
+        table and shares it, so callers only read it."""
         if self._edges[0] != mask:
-            gains = self._gains()
             members = [i for i in range(mask.bit_length()) if mask >> i & 1]
-            table = {
-                (i, j): self._lightest(mask, i, 1 << j, gains)
-                for i, j in permutations(members, 2)
-            }
+            layout = self._layout(mask)
+            table = {}
+            for i in members:
+                row = self._row(layout, i)
+                for j in members:
+                    if j != i:
+                        table[i, j] = self._lightest(i, 1 << j, row)
             self._edges = (mask, table)
         return self._edges[1]
 
     def weight(self, mask: int, i: int, j: int) -> Fraction:
-        """d(concepts[i], concepts[j]) within the subclass `mask`."""
+        """d(concepts[i], concepts[j]) within the subclass `mask`; both
+        must be members."""
         if i == j:
             raise ValueError("edge weight is undefined for identical concepts")
-        num, den = self._lightest(mask, i, 1 << j, self._gains())
+        num, den = self._lightest(i, 1 << j, self._member_row(mask, i, j))
         return Fraction(num, den)
 
     def rank(self, mask: int, i: int) -> Fraction | float:
-        """Minimum outgoing weight of concepts[i]; +inf when it is alone."""
-        num, den = self._lightest(mask, i, mask, self._gains())
+        """Minimum outgoing weight of member concepts[i]; +inf when it is
+        alone."""
+        num, den = self._lightest(i, mask, self._member_row(mask, i))
         return Fraction(num, den) if den else math.inf
 
     def best_query(self, mask: int) -> int:
-        """Index of the max-min query in the subclass, lowest index on ties."""
+        """Index of the max-min query in the subclass, lowest index on ties.
+
+        The first member's rank is read exactly and becomes the incumbent
+        a/b. Each later row is tested in one go: it beats the incumbent
+        iff every other member's lane of N * b - a * D + bias has its top
+        bit set. Only a row that passes is read exactly, to become the
+        new incumbent, so ties keep the lower index.
+        """
         if mask == 0:
             raise ValueError("no query exists for the empty class")
         hit = self._best.get(mask)
         if hit is not None:
             return hit
-        gains = self._gains()
-        best_i = -1
-        floor: tuple[int, int] | None = None
+        layout, width = self._layout(mask), self._width
+        tops = self._spread(mask) << (width - 1)
+        bias = self._bias
+        best_i = a = b = -1
         todo = mask
         while todo:
             low = todo & -todo
             todo ^= low
             i = low.bit_length() - 1
-            num, den = self._lightest(mask, i, mask, gains, floor)
-            # a scan cut short ends at or below the incumbent; ties keep it
-            if floor is None or num * floor[1] > floor[0] * den:
-                best_i, floor = i, (num, den)
+            nums, dens = row = self._row(layout, i)
+            if best_i >= 0:
+                need = tops ^ (1 << (i * width + width - 1))
+                if (nums * b - a * dens + bias) & need != need:
+                    continue
+            best_i = i
+            a, b = self._lightest(i, mask, row)
         self._best[mask] = best_i
         return best_i
 

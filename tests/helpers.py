@@ -8,6 +8,8 @@ code path with the package under test.
 import hashlib
 import math
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -210,6 +212,25 @@ def mk_class(bitstrings, mu=None, labels=None):
         domain = Domain(points, tuple(Fraction(m) for m in mu))
     concepts = tuple(Concept.from_bitstring(domain, b) for b in bitstrings)
     return ConceptClass(domain, concepts, labels)
+
+
+def one_hot(n):
+    """n concepts over n uniform points, concept i labeling only point i."""
+    return mk_class(["".join("1" if p == i else "0" for p in range(n)) for i in range(n)])
+
+
+@contextmanager
+def recursion_headroom(frames):
+    """Lower the recursion limit to `frames` above the current call depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def c3():

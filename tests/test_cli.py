@@ -394,7 +394,7 @@ def one_hot_file(path, n, tau=False):
     ],
 )
 def test_oversized_class_file_exits_3(capsys, tmp_path, argv):
-    # the dimension recursion and the exact DP recurse once per point
+    # the dimension recursion can recurse once per point
     path = one_hot_file(tmp_path / "wide.json", 257, tau=True)
     code, out, err = run(capsys, [a.format(path=path) for a in argv])
     assert code == 3
@@ -428,6 +428,18 @@ def test_verify_reports_failed_query_graph_checks(capsys, c3_file, monkeypatch):
         ("edge_weight_sums", "d(B,C) + d(C,B) = 2/3 < 1"),
         ("max_query_rank", "maximal query rank 1/3 below 1/2"),
         ("no_deficient_cycles", "deficient cycle through 01,10"),
+    ]
+
+
+def test_verify_reports_failed_drop_sums(capsys, c3_file, monkeypatch):
+    # the drops at x2 sum to 0 for every pair split there: A,B and A,C
+    monkeypatch.setattr(cli, "_drop_sums", lambda cache, mask: [1, 0])
+    code, out, _ = run(capsys, ["verify", "--class", c3_file])
+    assert code == 1
+    doc = json.loads(out)
+    assert [(v["check"], v["detail"]) for v in doc["violations"]] == [
+        ("drop_sums", "drops at x2 for A,B sum below 1"),
+        ("drop_sums", "drops at x2 for A,C sum below 1"),
     ]
 
 

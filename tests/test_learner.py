@@ -19,7 +19,14 @@ from thicket import (
 from thicket.learner import sample_index, unit_variate
 from thicket.generate import random_classes
 
-from helpers import c3, mk_class, ref_learner_run, ref_lowest_index_expected_queries
+from helpers import (
+    c3,
+    mk_class,
+    one_hot,
+    recursion_headroom,
+    ref_learner_run,
+    ref_lowest_index_expected_queries,
+)
 
 
 def skewed_class():
@@ -201,6 +208,17 @@ def test_exact_expectation_two_concepts():
     cc = mk_class(["10", "01"])
     assert exact_expected_queries(cc, cc.concepts[0]) == 1
     assert exact_expected_queries(cc, cc.concepts[1]) == 2
+
+
+def test_exact_expectation_walks_a_long_chain_without_recursion():
+    # all ranks tie, so the learner queries the lowest survivor; each
+    # counterexample removes it or leaves only the target, and the
+    # reachable subclasses form a chain 60 deep
+    cc = one_hot(60)
+    with recursion_headroom(30):
+        expected = exact_expected_queries(cc, cc.concepts[-1])
+    # E(k) = 1 + E(k - 1) / 2 + 1/2 with E(2) = 2 gives E(k) = 3 - 2**(2 - k)
+    assert expected == 3 - Fraction(1, 2**58)
 
 
 def test_exact_expectation_worked_class():

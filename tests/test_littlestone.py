@@ -16,7 +16,7 @@ from thicket import (
     restrict,
 )
 
-from helpers import c3, mk_class, powerset3, ref_ldim
+from helpers import c3, mk_class, one_hot, powerset3, recursion_headroom, ref_ldim
 
 
 def test_empty_class_dimension():
@@ -140,6 +140,24 @@ def test_singleton_class_memo_stays_small():
     cache = LdimCache(cc)
     assert ldim(cc, cache) == 1
     assert len(cache._memo) <= n * n
+
+
+def test_one_hot_dimension_needs_no_deep_recursion():
+    # a split's singleton side settles it at 1 without its larger side,
+    # whose recursion would otherwise peel one concept per level
+    cc = one_hot(200)
+    with recursion_headroom(30):
+        assert ldim(cc) == 1
+
+
+def test_small_classes_take_no_memo_entry():
+    cc = mk_class(["100", "010", "001", "111"])
+    cache = LdimCache(cc)
+    for mask in range(8):
+        assert cache.ldim_mask(mask) == mask.bit_count().bit_length() - 1
+    assert cache._memo == {}
+    assert cache.ldim_mask(0b1111) == 2
+    assert len(cache._memo) == 1
 
 
 def test_pruned_dimension_matches_plain_recursion_on_restrictions():

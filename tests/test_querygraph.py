@@ -19,6 +19,7 @@ from thicket.generate import random_classes
 from helpers import (
     c3,
     mk_class,
+    one_hot,
     ref_deficient_cycle,
     ref_edge_weight,
     ref_max_min,
@@ -79,10 +80,6 @@ def test_no_deficient_cycle_trivially():
 def test_deficient_cycle_length_validation():
     with pytest.raises(ValueError):
         find_deficient_cycle(c3(), 1)
-
-
-def one_hot(n):
-    return mk_class(["".join("1" if p == i else "0" for p in range(n)) for i in range(n)])
 
 
 # planted (N, D) weights, some unreduced: strict, exactly 1/2, heavy
@@ -199,10 +196,14 @@ def test_rank_in_subclass_differs_from_root():
     assert graph.rank(0b011, 0) == 1
 
 
-# Weights over denominators with a large common multiple: 42 and 1806.
+# Weights over denominators with a large common multiple: 42 and 1806;
+# the third puts almost all mass on one point over four large coprime
+# denominators, so the graph's packed lanes are wider than 64 bits.
+WIDE_MU = tuple(Fraction(1, q) for q in (1009, 1013, 1019, 1021))
 MIXED_MU = (
     ("1/2", "1/3", "1/7", "1/42"),
     ("1/2", "1/3", "1/7", "1/43", "1/1806"),
+    WIDE_MU + (1 - sum(WIDE_MU),),
 )
 
 
@@ -214,28 +215,41 @@ def mixed_classes():
         for size in (3, 4, 5, 6):
             for _ in range(3):
                 yield mk_class(rng.sample(patterns, size), mu)
-    # every edge weighs the same in these two, so all ranks tie
+    # every edge weighs the same in these three, so all ranks tie
     yield mk_class(["0000", "0010", "0001", "0011"], MIXED_MU[0])
     yield mk_class(["1000", "0100", "0010", "0001"], ("1/4",) * 4)
+    yield one_hot(6)
+    # uniform weights: many ranks tie, and many rows only just beat the incumbent
+    patterns = ["".join(t) for t in product("01", repeat=5)]
+    for size in (4, 5, 6):
+        for _ in range(2):
+            yield mk_class(rng.sample(patterns, size), ("1/5",) * 5)
 
 
 def test_subclass_selection_matches_oracle_with_mixed_denominators():
-    ties = 0
+    ties = wide = 0
     for cc in mixed_classes():
         graph = QueryGraph(cc)
+        wide += graph._width > 64
         mu = cc.domain.mu
         for mask in range(1, graph.cache.full_mask + 1):
             members = [i for i in range(len(cc)) if mask >> i & 1]
             patterns = [cc.concepts[i].bits for i in members]
-            for a, i in enumerate(members):
-                for b, j in enumerate(members):
-                    if i != j:
-                        assert graph.weight(mask, i, j) == ref_edge_weight(patterns, mu, a, b)
+            weights = {
+                (i, j): ref_edge_weight(patterns, mu, a, b)
+                for a, i in enumerate(members)
+                for b, j in enumerate(members)
+                if i != j
+            }
+            table = graph.edges(mask)
+            assert list(table) == list(weights)
+            for (i, j), (num, den) in table.items():
+                assert Fraction(num, den) == weights[i, j] == graph.weight(mask, i, j)
             ranks = [ref_rank(patterns, mu, a) for a in range(len(members))]
             assert [graph.rank(mask, i) for i in members] == ranks
             assert graph.best_query(mask) == members[ref_max_min(patterns, mu)]
             ties += ranks.count(max(ranks)) > 1
-    assert ties > 0
+    assert ties > 0 and wide == 12
 
 
 def test_difference_points_on_a_wide_domain():
@@ -256,3 +270,11 @@ def test_difference_points_on_a_wide_domain():
             points, mass = graph.diff_mass(i, j)
             assert points == direct == graph.diff_points(j, i)
             assert Fraction(mass, total) == sum(mu[p] for p in direct)
+
+
+def test_weight_and_rank_take_members_only():
+    graph = QueryGraph(c3())
+    with pytest.raises(ValueError):
+        graph.weight(0b011, 0, 2)
+    with pytest.raises(ValueError):
+        graph.rank(0b011, 2)
