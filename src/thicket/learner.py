@@ -10,12 +10,19 @@ Every random draw takes one 64-bit uniform variate r and compares
 integers: with the weights scaled to integer masses of total D, it
 picks the first index whose running mass acc has acc * 2**64 > r * D,
 the decision acc > (r / 2**64) * D makes in the dyadic rationals. So
-sampling is reproducible across platforms and exact up to 2**-64. The
-learner draws on the query graph's masses, mu scaled once, so a Monte
-Carlo trial builds no Fraction. Exact expected query counts come from a
-separate dynamic program over the reachable subclasses, not from
-simulation; it walks them on an explicit stack, so no recursion depth
-grows with the class.
+sampling is reproducible across platforms and exact up to 2**-64.
+
+The learner draws on the query graph's masses, mu scaled once, through
+a transition table kept per target and filled only for the subclasses a
+run reaches. An entry says that the teacher confirms there, or holds
+the query, its difference points with the target, their thresholds
+acc * 2**64 and the subclass each counterexample leaves; a draw is one
+bisection of r * D into the thresholds. A Monte Carlo trial walks the
+table and counts queries, building no object, and every trial of a
+call shares the table. Exact expected query counts come from a separate
+dynamic program over the reachable subclasses, not from simulation; it
+walks them on an explicit stack, so no recursion depth grows with the
+class.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
@@ -94,10 +102,19 @@ def unit_variate(rng: random.Random) -> Fraction:
     return Fraction(rng.getrandbits(64), 1 << 64)
 
 
-def _draw(masses: Sequence[int], total: int, rng: random.Random) -> int:
-    """Draw index i with probability masses[i] / total, up to 2**-64,
-    from one variate: the first i whose running mass exceeds r / 2**64
-    of `total`. `masses` are integers summing to `total`."""
+def sample_index(weights: Sequence[Fraction], rng: random.Random) -> int:
+    """Draw an index with probability proportional to its exact weight.
+
+    The weights are scaled by their least common denominator to integer
+    masses of total D, which leaves every comparison unchanged, and one
+    variate r picks the first index whose running mass acc has
+    acc * 2**64 > r * D.
+    """
+    if not weights:
+        raise ValueError("cannot sample from an empty weight sequence")
+    scale = math.lcm(*(w.denominator for w in weights))
+    masses = [w.numerator * (scale // w.denominator) for w in weights]
+    total = sum(masses)
     if total <= 0:
         raise ValueError("weights must have positive total mass")
     threshold = rng.getrandbits(64) * total
@@ -107,19 +124,6 @@ def _draw(masses: Sequence[int], total: int, rng: random.Random) -> int:
         if acc << 64 > threshold:
             return i
     return len(masses) - 1
-
-
-def sample_index(weights: Sequence[Fraction], rng: random.Random) -> int:
-    """Draw an index with probability proportional to its exact weight.
-
-    The weights are scaled by their least common denominator, which
-    leaves every comparison of the draw unchanged.
-    """
-    if not weights:
-        raise ValueError("cannot sample from an empty weight sequence")
-    scale = math.lcm(*(w.denominator for w in weights))
-    masses = [w.numerator * (scale // w.denominator) for w in weights]
-    return _draw(masses, sum(masses), rng)
 
 
 def teacher_respond(
@@ -148,6 +152,47 @@ def teacher_respond(
     return TeacherResponse(point, target.bits[pick])
 
 
+# a transition: the query, its ascending difference points with the
+# target, their integer mass D, the thresholds acc_k << 64 of the running
+# masses, and the subclass each point's counterexample leaves
+_Step = tuple[int, tuple[int, ...], int, list[int], list[int]]
+
+
+class _Transitions(dict[int, "_Step | None"]):
+    """The learner's moves against one target on one query graph, filled
+    only for the subclass masks a run reaches.
+
+    `table[mask]` is None when the max-min query of the subclass is the
+    target, so the teacher confirms; otherwise it is the subclass's
+    _Step. A counterexample is `successors[k]` for k the first threshold
+    above r * D, i.e. the first point with acc << 64 > r * D: the same
+    decision as `sample_index`, with equality passing to the next point. Masses
+    are positive, so D > 0 and the last threshold D << 64 exceeds every
+    r * D. Concepts are distinct, so a query other than the target always
+    leaves a difference to draw from.
+    """
+
+    def __init__(self, graph: QueryGraph, t: int) -> None:
+        super().__init__()
+        self.graph, self.t = graph, t
+        self.bits = graph.root.concepts[t].bits
+
+    def __missing__(self, mask: int) -> _Step | None:
+        graph, t, bits = self.graph, self.t, self.bits
+        q = graph.best_query(mask)
+        step = None
+        if q != t:
+            points, total = graph.diff_mass(q, t)
+            acc, thresholds = 0, []
+            for p in points:
+                acc += graph.mass[p]
+                thresholds.append(acc << 64)
+            restrict = graph.cache.restrict_mask
+            step = (q, points, total, thresholds, [restrict(mask, p, bits[p]) for p in points])
+        self[mask] = step
+        return step
+
+
 def run_thicket_learner(
     concept_class: ConceptClass,
     target: Concept,
@@ -163,24 +208,23 @@ def run_thicket_learner(
     """
     if graph is None:
         graph = QueryGraph(concept_class)
-    cache = graph.cache
     concept_class.index_of(target)  # membership check
-    mask = cache.mask_of(concept_class)
+    mask = graph.cache.mask_of(concept_class)
     root = graph.root
     t = root.index_of(target)
-    points, mass, bits = root.domain.points, graph.mass, target.bits
+    table = _Transitions(graph, t)
+    points, bits = root.domain.points, target.bits
     entries: list[tuple[Concept, TeacherResponse]] = []
     while True:
-        q = graph.best_query(mask)
-        # the teacher's step on the graph's integer masses: concepts are
-        # distinct, so q != t leaves a nonempty difference to draw from
-        if q == t:
-            entries.append((root.concepts[q], TeacherResponse()))
+        step = table[mask]
+        if step is None:
+            entries.append((root.concepts[t], TeacherResponse()))
             return Transcript(tuple(entries), seed)
-        diff, total = graph.diff_mass(q, t)
-        p = diff[_draw([mass[x] for x in diff], total, rng)]
+        q, diff, total, thresholds, successors = step
+        k = bisect_right(thresholds, rng.getrandbits(64) * total)
+        p = diff[k]
         entries.append((root.concepts[q], TeacherResponse(points[p], bits[p])))
-        mask = cache.restrict_mask(mask, p, bits[p])
+        mask = successors[k]
 
 
 def exact_expected_queries(
@@ -322,17 +366,25 @@ def monte_carlo_trials(
     """Run seeded independent learning trials and summarize query counts.
 
     Trial i uses its own generator seeded with derive_seed(seed, i), so
-    any single trial can be replayed in isolation.
+    any single trial can be replayed in isolation: its query count is
+    that of run_thicket_learner with that generator. The trials walk one
+    transition table and count queries without building a transcript.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if graph is None:
         graph = QueryGraph(concept_class)
+    concept_class.index_of(target)  # membership check
+    table = _Transitions(graph, graph.root.index_of(target))
+    start = table[graph.cache.mask_of(concept_class)]
     counts: dict[int, int] = {}
     for i in range(trials):
-        rng = random.Random(derive_seed(seed, i))
-        transcript = run_thicket_learner(concept_class, target, rng, graph)
-        n = transcript.query_count
+        variate = random.Random(derive_seed(seed, i)).getrandbits
+        step, n = start, 1
+        while step is not None:
+            _, _, total, thresholds, successors = step
+            step = table[successors[bisect_right(thresholds, variate(64) * total)]]
+            n += 1
         counts[n] = counts.get(n, 0) + 1
     return TrialSummary(
         seed=seed,

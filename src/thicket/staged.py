@@ -105,6 +105,9 @@ class CountableFamily(ABC):
         self._schedules: dict[int, StageSchedule] = {}
         # prefix length -> (atomization, query graph), filled by prefix_graph
         self._graphs: dict[int, tuple[AtomizedPrefix, QueryGraph]] = {}
+        # index i -> (num, den) of prior(0) + ... + prior(i) in lowest
+        # terms, extended by sample_target as far as its draws reach
+        self._cumulative: list[tuple[int, int]] = []
 
     @abstractmethod
     def prior(self, index: int) -> Fraction:
@@ -419,14 +422,29 @@ def run_staged_learner(
 
 
 def sample_target(family: CountableFamily, rng: random.Random) -> int:
-    """Draw an enumeration index from the family's prior."""
-    u = unit_variate(rng)
-    acc = Fraction(0)
-    for i, w in enumerate(family.priors()):
-        acc += w
-        if acc > u:
+    """Draw an enumeration index from the family's prior.
+
+    Takes one variate r = getrandbits(64), as unit_variate does, and
+    returns the first index whose cumulative prior num/den has
+    num * 2**64 > r * den, the decision cumulative > r / 2**64 in
+    integers. The cumulative priors are kept on the family and extended
+    only as far as a draw reaches, so no trial re-sums them.
+    """
+    r = rng.getrandbits(64)
+    sums = family._cumulative
+    i = 0
+    while True:
+        if i == len(sums):
+            acc = Fraction(*sums[-1]) if sums else Fraction(0)
+            if family.size is not None and i >= family.size:
+                u = Fraction(r, 1 << 64)
+                raise PriorExhaustedError(f"prior mass {acc} exhausted below variate {u}")
+            acc += family.prior(i)
+            sums.append((acc.numerator, acc.denominator))
+        num, den = sums[i]
+        if num << 64 > r * den:
             return i
-    raise PriorExhaustedError(f"prior mass {acc} exhausted below variate {u}")
+        i += 1
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,17 @@ def all_three_point_classes():
             yield mk_class(list(chosen))
 
 
+class StubRng:
+    """A generator whose every 64-bit variate is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def getrandbits(self, bits):
+        assert bits == 64
+        return self.value
+
+
 def write_class_file(path, cc, tau=None):
     from thicket import save_class
 

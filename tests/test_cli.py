@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +12,8 @@ import pytest
 from thicket import ConceptClass, Domain, __version__, load_class
 from thicket import QueryGraph, cli, compression
 from thicket.cli import main
-from thicket.generate import random_classes
+from thicket.generate import random_class, random_classes
+from thicket.learner import derive_seed
 
 from helpers import c3, mk_class, powerset3, ref_sample_count, write_class_file
 
@@ -125,6 +128,39 @@ def test_learn_csv_report(capsys, c3_file):
     lines = out.strip().split("\n")
     assert lines[0] == "class,target,trials,seed,mean,variance,max"
     assert lines[1].startswith(f"{c3_file},B,10,4,")
+
+
+# sha256 of `learn --trials 200` reports on four seeded 9-point,
+# 48-concept classes, taken from a learner that replayed every trial as a
+# full transcript; keyed by (class k, target index, seed)
+LEARN_PINS = {
+    (0, 30, 0): "a1dca1b60c3bc7806091fdb560fe19a2a20b2f24d54805b6e90061b8f98c1839",
+    (0, 30, 5): "c4e2d594272384d626e2663cec4a7dfeb81fd3ccffd35f8dd9bbd68d70ee6c0b",
+    (1, 27, 0): "8164f08234b8fec9e56cd2fa5f188d4eb472c63b34950aee69ddf8f4aeb4a0fc",
+    (1, 27, 5): "7fdf115907be9329fc820d319d216cb3fdce6467185cd6bb7e631624ec47aa1d",
+    (2, 13, 0): "85e17455025542eb5a02a642598ed95a7d1a0d5a62e1b08c945caa2222a51843",
+    (2, 13, 5): "ad6f51e274136d8f25094e4707a036c658edb00d866308453202f37f19e4b8e9",
+    (3, 18, 0): "5829d525f2bc31e65f92a24cd414570b5b465e2092706f176b534515af7bee6e",
+    (3, 18, 5): "2316c92451ec2da30df866d1cd0f9c7a6e6fb4abc25192a086e93230b3ee3784",
+}
+
+
+def test_learn_trials_reports_match_pinned_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for k in range(4):
+        name = write_class_file(
+            Path(f"k{k}.json"), random_class(random.Random(derive_seed(9, k)), 9, 48, 9, 48)
+        )
+        target = random.Random(f"target {k}").randrange(48)
+        for seed in (0, 5):
+            code, out, _ = run(
+                capsys,
+                ["learn", "--class", name, "--target", f"c{target}",
+                 "--trials", "200", "--seed", str(seed)],
+            )
+            assert code == 0
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == LEARN_PINS[k, target, seed], out
 
 
 def test_learn_exact_report(capsys, c3_file):

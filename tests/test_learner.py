@@ -1,7 +1,9 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,10 +18,12 @@ from thicket import (
     run_thicket_learner,
     teacher_respond,
 )
+from thicket import learner
 from thicket.learner import sample_index, unit_variate
 from thicket.generate import random_classes
 
 from helpers import (
+    StubRng,
     c3,
     mk_class,
     one_hot,
@@ -50,15 +54,6 @@ def test_unit_variate_is_dyadic_and_bounded():
         u = unit_variate(rng)
         assert 0 <= u < 1
         assert u.denominator & (u.denominator - 1) == 0
-
-
-class StubRng:
-    def __init__(self, value):
-        self.value = value
-
-    def getrandbits(self, bits):
-        assert bits == 64
-        return self.value
 
 
 def test_sample_index_splits_on_cumulative_mass():
@@ -147,6 +142,80 @@ def test_subclass_run_on_the_root_graph_matches_a_run_on_its_own():
             assert run == run_thicket_learner(sub, target, random.Random(seed))
             assert steps(sub, run) == ref_learner_run(patterns, sub.domain.mu, t, seed)
 
+
+def oracle_histogram(patterns, mu, t, trials, seed):
+    """Query-count histogram of `trials` oracle runs, trial i seeded with
+    derive_seed(seed, i) as monte_carlo_trials seeds it."""
+    counts = Counter(
+        len(ref_learner_run(patterns, mu, t, derive_seed(seed, i))) for i in range(trials)
+    )
+    return tuple(sorted(counts.items()))
+
+
+def test_monte_carlo_histograms_match_the_rational_oracle():
+    for cc in mixed_classes():
+        patterns = [c.bits for c in cc.concepts]
+        graph = QueryGraph(cc)
+        for t, target in enumerate(cc.concepts):
+            for seed in (0, 19):
+                s = monte_carlo_trials(cc, target, 10, seed, graph)
+                assert s.histogram == oracle_histogram(patterns, cc.domain.mu, t, 10, seed)
+
+
+def test_monte_carlo_on_a_shared_root_graph_matches_the_oracle():
+    root = mk_class(
+        ["0000", "1010", "0110", "1100", "0011", "1111", "1001"], mu=MIXED_MU
+    )
+    sub = ConceptClass(root.domain, tuple(root.concepts[i] for i in (1, 3, 4, 6)))
+    shared = QueryGraph(root)
+    patterns = [c.bits for c in sub.concepts]
+    for t, target in enumerate(sub.concepts):
+        for seed in (2, 8):
+            s = monte_carlo_trials(sub, target, 20, seed, shared)
+            assert s.histogram == oracle_histogram(patterns, sub.domain.mu, t, 20, seed)
+            assert s == monte_carlo_trials(sub, target, 20, seed)
+
+
+def test_monte_carlo_first_query_target_draws_nothing(monkeypatch):
+    cc = mk_class(["0110", "1011", "0001", "1100"], mu=MIXED_MU)
+    graph = QueryGraph(cc)
+    first = graph.best_query(graph.cache.full_mask)
+    patterns = [c.bits for c in cc.concepts]
+    assert oracle_histogram(patterns, cc.domain.mu, first, 25, 6) == ((1, 25),)
+    # every trial still seeds its own generator, which must never be asked
+    seeded = []
+
+    def no_draws(seed):
+        seeded.append(seed)
+        return DrawLimit(seed, 0)
+
+    monkeypatch.setattr(learner, "random", SimpleNamespace(Random=no_draws))
+    s = monte_carlo_trials(cc, cc.concepts[first], 25, 6, graph)
+    assert s.histogram == ((1, 25),)
+    assert seeded == [derive_seed(6, i) for i in range(25)]
+
+
+def test_monte_carlo_boundary_variate_passes_to_the_next_point(monkeypatch):
+    # the class of the non-dyadic threshold test plus c1: the first query
+    # c0 differs from the target c2 at x1, x2, x3 (masses 3/10, 1/5, 1/10),
+    # and u = 1/2 puts the threshold at 3/10, exactly the running mass
+    # after x1. Strict > passes to x2, which leaves only the target; x1
+    # would keep c1 as well and cost one more query.
+    mu = (Fraction(3, 10), Fraction(1, 5), Fraction(1, 10), Fraction(2, 5))
+    monkeypatch.setattr(learner, "random", SimpleNamespace(Random=lambda seed: StubRng(2**63)))
+    cc = mk_class(["0000", "1001", "1110"], mu=mu)
+    assert monte_carlo_trials(cc, cc.concepts[2], 7, seed=0).histogram == ((2, 7),)
+    pair = mk_class(["0000", "1110"], mu=mu)
+    assert monte_carlo_trials(pair, pair.concepts[1], 7, seed=0).histogram == ((2, 7),)
+
+
+def test_monte_carlo_rejects_a_target_outside_the_class():
+    cc = c3()
+    stranger = mk_class(["00"]).concepts[0]
+    with pytest.raises(ValueError, match="not a member"):
+        monte_carlo_trials(mk_class(["10", "01"]), cc.by_label("C"), 5, seed=0)
+    with pytest.raises(ValueError):
+        monte_carlo_trials(cc, stranger, 5, seed=0)
 
 def test_teacher_confirms_equal_hypothesis():
     cc = c3()

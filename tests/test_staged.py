@@ -23,7 +23,7 @@ from thicket import (
     step_budget,
 )
 
-from helpers import c3, mk_class, ref_edge_weight, ref_staged_trials
+from helpers import StubRng, c3, mk_class, ref_edge_weight, ref_staged_trials
 
 
 def test_stage_epsilon_halves():
@@ -189,6 +189,79 @@ def test_sample_target_follows_prior():
     share = draws.count(0) / len(draws)
     assert 0.45 < share < 0.55
 
+
+def ref_sample_target(priors, r):
+    """First index whose cumulative prior exceeds u = r / 2**64, in
+    Fractions; None when the priors run out first."""
+    u, acc = Fraction(r, 2**64), Fraction(0)
+    for i, w in enumerate(priors):
+        acc += w
+        if acc > u:
+            return i
+    return None
+
+
+def geometric(ratio):
+    i = 0
+    while True:
+        yield ratio * (1 - ratio) ** i
+        i += 1
+
+
+@pytest.mark.parametrize("ratio", [Fraction(1, 2), Fraction(1, 7), Fraction(1, 20)])
+def test_sample_target_matches_a_fraction_reference(ratio):
+    fam = IntervalFamily(ratio)
+    for seed in range(300):
+        r = random.Random(seed).getrandbits(64)
+        assert sample_target(fam, random.Random(seed)) == ref_sample_target(geometric(ratio), r)
+
+
+def test_sample_target_on_a_truncated_prior_matches_the_reference():
+    tau = (Fraction(1, 3), Fraction(0), Fraction(1, 6), Fraction(1, 4))
+    fam = FiniteFamily(mk_class(["00", "01", "10", "11"]), tau)
+    for seed in range(300):
+        r = random.Random(seed).getrandbits(64)
+        expected = ref_sample_target(tau, r)
+        if expected is None:
+            with pytest.raises(PriorExhaustedError):
+                sample_target(fam, random.Random(seed))
+        else:
+            assert sample_target(fam, random.Random(seed)) == expected
+
+
+def test_sample_target_variate_on_a_cumulative_mass_picks_the_next_index():
+    # cumulative priors 1/2, 3/4, ...: u = 1/2 and u = 3/4 land on them
+    fam = IntervalFamily()
+    assert sample_target(fam, StubRng(2**63 - 1)) == 0
+    assert sample_target(fam, StubRng(2**63)) == 1
+    assert sample_target(fam, StubRng(3 * 2**62)) == 2
+    # the zero prior of index 1 never takes a draw
+    tau = (Fraction(1, 4), Fraction(0), Fraction(1, 2))
+    finite = FiniteFamily(mk_class(["10", "01", "11"]), tau)
+    assert sample_target(finite, StubRng(2**62)) == 2
+
+
+def test_sample_target_extends_cached_sums_only_as_far_as_draws_reach(monkeypatch):
+    fam = IntervalFamily()
+    asked = []
+    prior = fam.prior
+    monkeypatch.setattr(fam, "prior", lambda i: asked.append(i) or prior(i))
+    assert sample_target(fam, StubRng(3 * 2**62)) == 2
+    assert sample_target(fam, StubRng(2**63)) == 1
+    assert sample_target(fam, StubRng(7 * 2**61)) == 3
+    assert asked == [0, 1, 2, 3]
+
+
+def test_sample_target_exhausted_prior_message():
+    fam = FiniteFamily(c3(), (Fraction(1, 80),) * 3)
+    with pytest.raises(PriorExhaustedError) as exc:
+        sample_target(fam, StubRng(2**63))
+    assert str(exc.value) == "prior mass 3/80 exhausted below variate 1/2"
+    # and again once the sums are cached
+    with pytest.raises(PriorExhaustedError) as exc:
+        sample_target(fam, StubRng(2**62))
+    assert str(exc.value) == "prior mass 3/80 exhausted below variate 1/4"
+    assert sample_target(fam, StubRng(2**58)) == 1
 
 def test_staged_trials_summary():
     fam = IntervalFamily()
