@@ -318,7 +318,7 @@ def _verify_one(cc: ConceptClass, max_cycle_len: int) -> list[dict[str, Any]]:
                 f"target {cc.label(i)} needs {expected} expected queries"
                 f" with ldim {d}",
             )
-    report = certify_scheme(cc)
+    report = certify_scheme(cc, cache=cache)
     if not report.ok:
         blame(
             "compression_round_trip",

@@ -22,16 +22,21 @@ dimension at the repeated point (at most one exists) settles who decodes
 what.
 
 The scheme runs once, on indices: a class is a concept mask of an
-:class:`LdimCache` root, a sample its point indices with label bits
-(bit p is the label at point p), and a decoder returns label bits.
-`greedy_run`, `compress` and `build_reconstructors` wrap this core with
-point names. `certify_scheme` drives it directly over the distinct
-``concept_bits & S`` of every point mask S and reports violations,
-none of which should exist.
+:class:`LdimCache` root, a sample a point mask with label bits over the
+same points (bit p is the label at point p), and a decoder returns
+label bits. Each greedy step reads the current class's keep table
+(`LdimCache.keeps`): the sample points that drop the dimension are one
+mask, and the pinned point is its lowest bit. `greedy_run`, `compress`
+and `build_reconstructors` wrap this core with point names.
+`certify_scheme` drives it directly over the distinct
+``concept_bits & S`` of every point mask S and reports violations, none
+of which should exist; decoders are pure functions of their tuple, so
+it evaluates each at most once per distinct tuple.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Callable, Sequence
@@ -61,34 +66,33 @@ def _realizers(cache: LdimCache, mask: int, points: Sequence[int], key: int) -> 
 
 
 def _greedy(
-    cache: LdimCache, mask: int, d: int, points: Sequence[int], key: int
+    cache: LdimCache, mask: int, d: int, subset: int, key: int
 ) -> tuple[list[int], list[int], bool]:
-    """The greedy pass over ascending sample points: the points pinned with
-    labels 1 and 0, in the order chosen, and whether all d steps ran."""
-    ldim = cache.ldim_mask
-    pins = [(p, cache.level_mask(p, key >> p & 1)) for p in points]
+    """The greedy pass over the sample points `subset`, ascending: the points
+    pinned with labels 1 and 0, in the order chosen, and whether all d steps
+    ran."""
+    keeps, level = cache.keeps, cache.level_mask
     ones: list[int] = []
     zeros: list[int] = []
-    here = d
     for _ in range(d):
-        for p, agree in pins:
-            sub = mask & agree
-            low = ldim(sub)
-            if low < here:
-                break
-        else:
+        keep0, keep1 = keeps(mask)
+        # the sample points whose labeled restriction drops the dimension
+        drops = subset & ~(keep1 & key | keep0 & ~key)
+        if not drops:
             # every labeled restriction keeps the dimension: exceptional
             return ones, zeros, False
-        (ones if key >> p & 1 else zeros).append(p)
-        mask, here = sub, low
+        p = (drops & -drops).bit_length() - 1
+        label = key >> p & 1
+        (ones if label else zeros).append(p)
+        mask &= level(p, label)
     return ones, zeros, True
 
 
 def _compress(
-    cache: LdimCache, mask: int, d: int, points: Sequence[int], key: int
+    cache: LdimCache, mask: int, d: int, subset: int, key: int
 ) -> tuple[int, ...]:
     """Compress on indices; see `compress` for the padding."""
-    ones, zeros, completed = _greedy(cache, mask, d, points, key)
+    ones, zeros, completed = _greedy(cache, mask, d, subset, key)
     if completed:
         return tuple(ones + zeros)
     if ones:
@@ -96,7 +100,7 @@ def _compress(
     elif zeros:
         out, pad = zeros + [zeros[0]], zeros[0]
     else:
-        out, pad = [], points[0]
+        out, pad = [], (subset & -subset).bit_length() - 1
     return tuple(out + [pad] * (d - len(out)))
 
 
@@ -110,15 +114,12 @@ def _index_decoders(cache: LdimCache, mask: int) -> tuple[Decoder, ...]:
     level = cache.level_mask
     bits = cache.point_bits
     default = bits[(mask & -mask).bit_length() - 1]
-    canon_memo: dict[int, int] = {0: default}
     # the class's canonical labeling is the label keeping d at each point
     stable, stable_ones = cache.canonical_mask(mask)
 
     def canon(sub: int) -> int:
         """Canonical partial labeling of the subclass, extended by 0."""
-        if sub not in canon_memo:
-            canon_memo[sub] = cache.canonical_mask(sub)[1]
-        return canon_memo[sub]
+        return cache.keeps(sub)[1] if sub else default
 
     def restrict_all(points: Sequence[int], label: int, sub: int) -> int:
         for p in points:
@@ -162,23 +163,23 @@ def _index_sample(
     concept_class: ConceptClass,
     sample: PartialAssignment,
     cache: LdimCache | None,
-) -> tuple[LdimCache, int, int, list[int], int]:
+) -> tuple[LdimCache, int, int, int, int]:
     """Validate a named sample; return the arguments of the index core."""
     cache, mask = _root(concept_class, cache)
     if not sample:
         raise ValueError("cannot compress an empty sample")
     points: list[int] = []
-    key = 0
+    subset = key = 0
     for point, label in sample.items():
         p = concept_class.domain.index(point)
         if label not in (0, 1):
             raise ValueError(f"sample labels must be 0 or 1, got {label!r}")
         points.append(p)
+        subset |= 1 << p
         key |= label << p
-    points.sort()
     if _realizers(cache, mask, points, key) == 0:
         raise ValueError("sample is not realizable by the class")
-    return cache, mask, cache.ldim_mask(mask), points, key
+    return cache, mask, cache.ldim_mask(mask), subset, key
 
 
 @dataclass(frozen=True)
@@ -279,6 +280,7 @@ class CompressionReport:
 def certify_scheme(
     concept_class: ConceptClass,
     max_sample_size: int | None = None,
+    cache: LdimCache | None = None,
 ) -> CompressionReport:
     """Compress and reconstruct every realizable sample, recording failures.
 
@@ -286,15 +288,16 @@ def certify_scheme(
     of size up to `max_sample_size` (the whole domain by default), taken
     per subset in first-seen concept order. A sample fails when it is not
     realizable, its tuple is not d of its own points, or no reconstructor
-    returns a concept agreeing with it.
+    returns a concept agreeing with it. Decoders are pure functions of
+    their tuple, so each is evaluated at most once per distinct tuple.
     """
-    cache, mask = _root(concept_class, None)
+    cache, mask = _root(concept_class, cache)
     n = len(concept_class.domain)
     limit = n if max_sample_size is None else max_sample_size
     if limit < 1:
         raise ValueError("max_sample_size must be at least 1")
     d = cache.ldim_mask(mask)
-    rhos = _index_decoders(cache, mask)
+    rhos = tuple(functools.cache(rho) for rho in _index_decoders(cache, mask))
     bits = cache.point_bits
     names = concept_class.domain.points
     tested = 0
@@ -309,13 +312,15 @@ def certify_scheme(
                     continue
                 seen.add(key)
                 tested += 1
-                tup = _compress(cache, mask, d, points, key)
+                realizable = _realizers(cache, mask, points, key) != 0
+                # the greedy needs a realizable sample: its classes stay nonempty
+                tup = _compress(cache, mask, d, subset, key) if realizable else ()
                 problem = None
-                if _realizers(cache, mask, points, key) == 0:
+                if not realizable:
                     problem = "sample is not realizable by the class"
                 elif len(tup) != d:
                     problem = f"tuple has length {len(tup)}, expected {d}"
-                elif any(not subset >> p & 1 for p in tup):
+                elif sum(1 << p for p in set(tup)) & ~subset:
                     problem = "tuple uses points outside the sample"
                 elif not any((rho(tup) ^ key) & subset == 0 for rho in rhos):
                     problem = "no reconstructor recovers the sample"

@@ -28,6 +28,14 @@ concept indices, so the same cache serves every caller that works on
 restrictions of that root: the query graph, the learner's expectation
 recursion, and the compression scheme all share one :class:`LdimCache`,
 and read each root concept's labels from it as one point-bits int.
+
+For a nonempty subclass the cache also keeps one keep table, memoized
+per mask: the point bitmasks ``(keep0, keep1)`` where restricting to
+label 0 (resp. 1) keeps the dimension. A labeled sample with points
+``subset`` and label bits ``key`` then drops the dimension exactly at
+``subset & ~(keep1 & key | keep0 & ~key)``, which is how exceptional
+samples, canonical partial labelings and the compression greedy are
+read.
 """
 
 from __future__ import annotations
@@ -64,6 +72,7 @@ class LdimCache:
             ones = sum((bits >> p & 1) << i for i, bits in enumerate(self.point_bits))
             self._level_masks.append((self.full_mask ^ ones, ones))
         self._memo: dict[int, int] = {}
+        self._keeps: dict[int, tuple[int, int]] = {}
 
     def mask_of(self, concept_class: ConceptClass) -> int:
         """Encode a subclass of the root as a bitmask."""
@@ -82,19 +91,33 @@ class LdimCache:
     def restrict_mask(self, mask: int, point_index: int, value: int) -> int:
         return mask & self._level_masks[point_index][value]
 
-    def canonical_mask(self, mask: int) -> tuple[int, int]:
-        """`canonical_partial` of a nonempty subclass as point bitmasks
-        ``(defined, ones)``: where it is defined, and where it reads 1."""
+    def keeps(self, mask: int) -> tuple[int, int]:
+        """Point bitmasks ``(keep0, keep1)`` of a nonempty subclass: the
+        points where restricting it to label 0 (resp. 1) keeps its dimension.
+
+        At most one label keeps the dimension at a point, so the two masks
+        are disjoint. Memoized per mask.
+        """
+        hit = self._keeps.get(mask)
+        if hit is not None:
+            return hit
         d = self.ldim_mask(mask)
-        defined = ones = 0
+        keep0 = keep1 = 0
         for p, (zeros_at, ones_at) in enumerate(self._level_masks):
             keeps0 = self.ldim_mask(mask & zeros_at) == d
             keeps1 = self.ldim_mask(mask & ones_at) == d
             if keeps0 and keeps1:
                 raise AssertionError("both labels keep the dimension; ldim is inconsistent")
-            defined |= (keeps0 or keeps1) << p
-            ones |= keeps1 << p
-        return defined, ones
+            keep0 |= keeps0 << p
+            keep1 |= keeps1 << p
+        self._keeps[mask] = hit = keep0, keep1
+        return hit
+
+    def canonical_mask(self, mask: int) -> tuple[int, int]:
+        """`canonical_partial` of a nonempty subclass as point bitmasks
+        ``(defined, ones)``: where it is defined, and where it reads 1."""
+        keep0, keep1 = self.keeps(mask)
+        return keep0 | keep1, keep1
 
     def ldim_mask(self, mask: int) -> int:
         count = mask.bit_count()
@@ -179,14 +202,15 @@ def is_exceptional(
     if len(concept_class) == 0:
         raise ValueError("exceptionality is undefined for the empty class")
     cache, mask = _cache_for(concept_class, cache)
-    d = cache.ldim_mask(mask)
+    subset = key = 0
     for point, label in sample.items():
         if label not in (0, 1):
             raise ValueError(f"sample labels must be 0 or 1, got {label!r}")
         p = concept_class.domain.index(point)
-        if cache.ldim_mask(cache.restrict_mask(mask, p, label)) != d:
-            return False
-    return True
+        subset |= 1 << p
+        key |= label << p
+    keep0, keep1 = cache.keeps(mask)
+    return subset & ~(keep1 & key | keep0 & ~key) == 0
 
 
 def canonical_partial(

@@ -33,6 +33,31 @@ def ref_ldim(patterns):
     return best
 
 
+def ref_greedy(patterns, sample, dim=ref_ldim):
+    """The greedy compression pass over a sample {point index: label}:
+    the points pinned with labels 1 and 0, in the order chosen, and
+    whether all ldim(patterns) steps ran.
+
+    Each step scans the sample points in ascending order and pins the
+    first whose labeled restriction of the surviving patterns drops
+    their dimension; a step that finds none halts the run. `dim` is
+    `ref_ldim`, or a memoized wrapper of it taking tuples of patterns.
+    """
+    alive = tuple(patterns)
+    ones, zeros = [], []
+    for _ in range(dim(alive)):
+        here = dim(alive)
+        for p in sorted(sample):
+            kept = tuple(c for c in alive if c[p] == sample[p])
+            if dim(kept) < here:
+                break
+        else:
+            return ones, zeros, False
+        (ones if sample[p] else zeros).append(p)
+        alive = kept
+    return ones, zeros, True
+
+
 def ref_edge_weight(patterns, mu, i, j):
     """Expected dimension drop querying pattern i against target j."""
     diff = [p for p in range(len(patterns[0])) if patterns[i][p] != patterns[j][p]]

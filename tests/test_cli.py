@@ -510,3 +510,19 @@ def test_verify_builds_one_edge_table_per_class(monkeypatch):
         # verify and the cycle search share one table, built edge by edge once
         assert len(tables) == 2 and tables[0] is tables[1]
         assert scans[0] == len(cc) * (len(cc) - 1) == len(tables[0])
+
+
+def test_verify_builds_one_ldim_cache_per_class(monkeypatch):
+    from thicket.littlestone import LdimCache
+
+    real_init, built = LdimCache.__init__, []
+
+    def init(self, root):
+        built.append(root)
+        real_init(self, root)
+
+    monkeypatch.setattr(LdimCache, "__init__", init)
+    for cc in random_classes(607, 20, 4, 6):
+        built.clear()
+        assert cli._verify_one(cc, 5) == []
+        assert built == [cc]

@@ -1,8 +1,13 @@
+import functools
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from thicket import (
+    GreedyRun,
+    LdimCache,
     build_reconstructors,
     certify_scheme,
     compress,
@@ -12,7 +17,15 @@ from thicket import (
 from thicket import compression
 from thicket.generate import random_class
 
-from helpers import all_three_point_classes, c3, mk_class, powerset3, ref_sample_count
+from helpers import (
+    all_three_point_classes,
+    c3,
+    mk_class,
+    powerset3,
+    ref_greedy,
+    ref_ldim,
+    ref_sample_count,
+)
 
 
 def extends(concept, sample):
@@ -209,3 +222,80 @@ def test_samples_tested_matches_independent_count():
         patterns = [c.bits for c in cc.concepts]
         limit = 2 + 2 * k
         assert certify_scheme(cc, limit).samples_tested == ref_sample_count(patterns, limit)
+
+
+def realizable_samples(patterns):
+    """Every realizable sample {point index: label}, per nonempty point
+    subset in first-seen pattern order."""
+    n = len(patterns[0])
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            for labels in dict.fromkeys(tuple(c[p] for p in subset) for c in patterns):
+                yield dict(zip(subset, labels))
+
+
+def padded(ones, zeros, completed, sample, d):
+    """The tuple `compress` documents for a greedy outcome."""
+    if completed:
+        return ones + zeros
+    if ones:
+        out, pad = ones + [ones[0]] + zeros, ones[0]
+    elif zeros:
+        out, pad = zeros + [zeros[0]], zeros[0]
+    else:
+        out, pad = [], min(sample)
+    return out + [pad] * (d - len(out))
+
+
+def test_greedy_matches_reference_on_every_sample():
+    classes = list(all_three_point_classes())
+    classes += [random_class(random.Random(f"greedy {k}"), 7, 12, 6, 8) for k in range(4)]
+    outcomes = Counter()
+    for cc in classes:
+        patterns = tuple(c.bits for c in cc.concepts)
+        dim = functools.cache(ref_ldim)
+        d = dim(patterns)
+        cache = LdimCache(cc)
+        names = cc.domain.points
+        for sample in realizable_samples(patterns):
+            ones, zeros, completed = ref_greedy(patterns, sample, dim)
+            named = {names[p]: label for p, label in sample.items()}
+            assert greedy_run(cc, named, cache) == GreedyRun(
+                tuple(names[p] for p in ones), tuple(names[p] for p in zeros), completed
+            )
+            tup = padded(ones, zeros, completed, sample, d)
+            assert compress(cc, named, cache) == tuple(names[p] for p in tup)
+            outcomes["full" if completed else "early" if ones or zeros else "immediate"] += 1
+    assert set(outcomes) == {"full", "early", "immediate"}
+
+
+def test_certify_decodes_each_tuple_once_per_decoder(monkeypatch):
+    real = compression._index_decoders
+    calls = Counter()
+
+    def counting_decoders(cache, mask):
+        def counted(i, rho):
+            def decode(points):
+                calls[i, points] += 1
+                return rho(points)
+
+            return decode
+
+        return tuple(counted(i, rho) for i, rho in enumerate(real(cache, mask)))
+
+    monkeypatch.setattr(compression, "_index_decoders", counting_decoders)
+    for k in range(3):
+        calls.clear()
+        cc = random_class(random.Random(f"decode {k}"), 6, 16, 6, 12)
+        report = certify_scheme(cc)
+        assert report.ok
+        assert max(calls.values()) == 1
+        # tuples repeat across samples, so an unmemoized replay would decode more
+        assert len({points for _, points in calls}) < report.samples_tested
+
+
+def test_certify_uses_a_given_cache():
+    cc = random_class(random.Random("shared cache"), 6, 16, 6, 12)
+    cache = LdimCache(cc)
+    assert certify_scheme(cc, cache=cache) == certify_scheme(cc)
+    assert cache._keeps

@@ -1,5 +1,7 @@
+import functools
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,23 @@ from thicket import (
     Domain,
     LdimCache,
     canonical_partial,
+    certify_scheme,
     drop,
     is_exceptional,
     ldim,
     restrict,
 )
+from thicket.generate import random_class
 
-from helpers import c3, mk_class, one_hot, powerset3, recursion_headroom, ref_ldim
+from helpers import (
+    all_three_point_classes,
+    c3,
+    mk_class,
+    one_hot,
+    powerset3,
+    recursion_headroom,
+    ref_ldim,
+)
 
 
 def test_empty_class_dimension():
@@ -180,3 +192,61 @@ def test_pruned_dimension_matches_plain_recursion_on_restrictions():
                 kept = [c for c in patterns if c[p] == label]
                 assert ldim(restrict(cc, {point: label}), cache) == ref_ldim(kept), k
     assert {3, 4} <= seen
+
+
+def check_keeps(cache, patterns, mask, dim):
+    """`keeps(mask)` against the plain recursion `dim` on the subclass."""
+    keep0, keep1 = cache.keeps(mask)
+    sub = tuple(c for i, c in enumerate(patterns) if mask >> i & 1)
+    d = dim(sub)
+    for p in range(len(patterns[0])):
+        for label, keep in ((0, keep0), (1, keep1)):
+            kept = tuple(c for c in sub if c[p] == label)
+            assert (keep >> p & 1) == (dim(kept) == d)
+    assert keep0 & keep1 == 0
+    assert cache.canonical_mask(mask) == (keep0 | keep1, keep1)
+
+
+def test_keeps_matches_plain_recursion_on_three_points():
+    dim = functools.cache(ref_ldim)
+    for cc in all_three_point_classes():
+        cache = LdimCache(cc)
+        patterns = [c.bits for c in cc.concepts]
+        for mask in range(1, cache.full_mask + 1):
+            check_keeps(cache, patterns, mask, dim)
+
+
+def test_keeps_matches_plain_recursion_where_the_greedy_goes():
+    for k in range(4):
+        cc = random_class(random.Random(f"keeps {k}"), 7, 14, 7, 10)
+        cache = LdimCache(cc)
+        real, reached = cache.keeps, set()
+
+        def keeps(mask):
+            reached.add(mask)
+            return real(mask)
+
+        cache.keeps = keeps
+        assert certify_scheme(cc, cache=cache).ok
+        assert len(reached) > 1
+        dim = functools.cache(ref_ldim)
+        patterns = [c.bits for c in cc.concepts]
+        for mask in reached:
+            check_keeps(cache, patterns, mask, dim)
+
+
+def test_is_exceptional_matches_every_labeled_restriction():
+    dim = functools.cache(ref_ldim)
+    for cc in all_three_point_classes():
+        patterns = tuple(c.bits for c in cc.concepts)
+        d = dim(patterns)
+        for labels in product((0, 1, None), repeat=3):
+            sample = {f"x{p + 1}": v for p, v in enumerate(labels) if v is not None}
+            expected = all(
+                dim(tuple(c for c in patterns if c[p] == v)) == d
+                for p, v in enumerate(labels)
+                if v is not None
+            )
+            assert is_exceptional(cc, sample) == expected
+    with pytest.raises(ValueError, match="sample labels must be 0 or 1"):
+        is_exceptional(c3(), {"x1": 0, "x2": 2})
