@@ -7,6 +7,10 @@ report bytes never depend on machine speed.
 
 Exit codes: 0 success, 1 property violation, 2 usage error, 3 I/O or
 parse error, an input too large to check, or a truncated staged prior.
+
+Each call builds the argument parser of its own subcommand only, from
+the one table of subcommands; the full parser is built only for
+top-level help, a missing or unknown command, and ``--version``.
 """
 
 from __future__ import annotations
@@ -168,9 +172,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
 def cmd_learn_exact(args: argparse.Namespace) -> int:
     cc = _read_class(args.class_file)
     target = _resolve_target(cc, args.target)
-    expected = exact_expected_queries(cc, target)
+    graph = QueryGraph(cc)
+    expected = exact_expected_queries(cc, target, graph)
     payload = _base("learn-exact", {"class": args.class_file, "target": args.target}, None)
-    payload.update({"expected_queries": str(expected), "ldim": ldim(cc)})
+    payload.update({"expected_queries": str(expected), "ldim": ldim(cc, graph.cache)})
     _report(payload, args.output)
     return 0
 
@@ -391,7 +396,51 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_POSITIVE = _int_at_least(1)
+_CLASS = {"dest": "class_file", "required": True}
+_TARGET = {"required": True, "help": "target concept label"}
+_TRIALS = {"type": _POSITIVE, "default": 1000}
+_SEED = {"type": int, "default": 0}
+_FORMAT = {"choices": ("json", "csv"), "default": "json"}
+
+# One row per subcommand: name, help, handler, and its options in help
+# order; every subcommand also takes --output, listed last.
+COMMANDS: tuple[tuple[str, str, Callable[[argparse.Namespace], int], dict[str, Any]], ...] = (
+    ("ldim", "dimension of a class file", cmd_ldim, {"--class": _CLASS}),
+    ("learn", "seeded Monte Carlo learning runs", cmd_learn, {
+        "--class": _CLASS, "--target": _TARGET, "--trials": _TRIALS, "--seed": _SEED,
+        "--format": _FORMAT}),
+    ("learn-exact", "exact expected query count", cmd_learn_exact,
+     {"--class": _CLASS, "--target": _TARGET}),
+    ("staged", "staged learning on a countable family", cmd_staged, {
+        "--family": {
+            "default": "intervals", "help": "'intervals' or 'file:<path>' with a tau prior"},
+        "--prior-geometric": {
+            "default": "1/2",
+            "help": "success ratio of the geometric prior for the interval family"},
+        "--trials": _TRIALS, "--seed": _SEED, "--stage-cap": {"type": _POSITIVE, "default": 30},
+        "--format": _FORMAT}),
+    ("compress", "compression scheme of a class file", cmd_compress, {
+        "--class": _CLASS,
+        "--verify": {
+            "action": "store_true", "help": "replay every realizable sample through the scheme"},
+        "--max-sample-size": {"type": _POSITIVE}}),
+    ("verify", "exact property checks over classes", cmd_verify, {
+        "--class": {"dest": "class_file"}, "--random-classes": {"type": _POSITIVE},
+        "--max-domain": {"type": _int_at_least(1, MAX_REPLAY_POINTS), "default": 5},
+        "--max-concepts": {"type": _POSITIVE, "default": 8},
+        "--max-cycle-len": {"type": _int_at_least(2), "default": 5}, "--seed": _SEED}),
+    ("gen", "emit a seeded random class file", cmd_gen, {
+        "--seed": {"type": int, "required": True},
+        "--points": {"type": _POSITIVE, "required": True},
+        "--concepts": {"type": _POSITIVE, "required": True}}),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with only `command`'s subparser when it names
+    one, and every subparser otherwise. Both print the same usage, help
+    and error text for that command."""
     parser = argparse.ArgumentParser(
         prog="thicket",
         description="Equivalence-query learning with random counterexamples: "
@@ -399,85 +448,26 @@ def build_parser() -> argparse.ArgumentParser:
         "compression certification.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p: argparse.ArgumentParser) -> None:
+    names = [row[0] for row in COMMANDS]
+    # the usage line lists every command either way; the full parser keeps
+    # metavar unset, which would reword its missing and invalid command errors
+    listed = {"metavar": "{" + ",".join(names) + "}"} if command in names else {}
+    sub = parser.add_subparsers(dest="command", required=True, **listed)
+    for name, help_text, handler, options in COMMANDS:
+        if listed and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
         p.add_argument("--output", help="write the report here instead of stdout")
-
-    p = sub.add_parser("ldim", help="dimension of a class file")
-    p.add_argument("--class", dest="class_file", required=True)
-    add_output(p)
-    p.set_defaults(func=cmd_ldim)
-
-    p = sub.add_parser("learn", help="seeded Monte Carlo learning runs")
-    p.add_argument("--class", dest="class_file", required=True)
-    p.add_argument("--target", required=True, help="target concept label")
-    p.add_argument("--trials", type=_int_at_least(1), default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    add_output(p)
-    p.set_defaults(func=cmd_learn)
-
-    p = sub.add_parser("learn-exact", help="exact expected query count")
-    p.add_argument("--class", dest="class_file", required=True)
-    p.add_argument("--target", required=True, help="target concept label")
-    add_output(p)
-    p.set_defaults(func=cmd_learn_exact)
-
-    p = sub.add_parser("staged", help="staged learning on a countable family")
-    p.add_argument(
-        "--family",
-        default="intervals",
-        help="'intervals' or 'file:<path>' with a tau prior",
-    )
-    p.add_argument(
-        "--prior-geometric",
-        default="1/2",
-        help="success ratio of the geometric prior for the interval family",
-    )
-    p.add_argument("--trials", type=_int_at_least(1), default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stage-cap", type=_int_at_least(1), default=30)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    add_output(p)
-    p.set_defaults(func=cmd_staged)
-
-    p = sub.add_parser("compress", help="compression scheme of a class file")
-    p.add_argument("--class", dest="class_file", required=True)
-    p.add_argument(
-        "--verify",
-        action="store_true",
-        help="replay every realizable sample through the scheme",
-    )
-    p.add_argument("--max-sample-size", type=_int_at_least(1), default=None)
-    add_output(p)
-    p.set_defaults(func=cmd_compress)
-
-    p = sub.add_parser("verify", help="exact property checks over classes")
-    p.add_argument("--class", dest="class_file", default=None)
-    p.add_argument("--random-classes", type=_int_at_least(1), default=None)
-    p.add_argument(
-        "--max-domain", type=_int_at_least(1, MAX_REPLAY_POINTS), default=5
-    )
-    p.add_argument("--max-concepts", type=_int_at_least(1), default=8)
-    p.add_argument("--max-cycle-len", type=_int_at_least(2), default=5)
-    p.add_argument("--seed", type=int, default=0)
-    add_output(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("gen", help="emit a seeded random class file")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--points", type=_int_at_least(1), required=True)
-    p.add_argument("--concepts", type=_int_at_least(1), required=True)
-    add_output(p)
-    p.set_defaults(func=cmd_gen)
-
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     started = time.monotonic()
     try:
         return args.func(args)

@@ -104,7 +104,13 @@ class LdimCache:
         d = self.ldim_mask(mask)
         keep0 = keep1 = 0
         for p, (zeros_at, ones_at) in enumerate(self._level_masks):
-            keeps0 = self.ldim_mask(mask & zeros_at) == d
+            zeros = mask & zeros_at
+            if zeros == mask or not zeros:
+                # no split: the label every concept carries keeps the dimension
+                keep0 |= (zeros == mask) << p
+                keep1 |= (not zeros) << p
+                continue
+            keeps0 = self.ldim_mask(zeros) == d
             keeps1 = self.ldim_mask(mask & ones_at) == d
             if keeps0 and keeps1:
                 raise AssertionError("both labels keep the dimension; ldim is inconsistent")

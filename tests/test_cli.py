@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -526,3 +529,60 @@ def test_verify_builds_one_ldim_cache_per_class(monkeypatch):
         built.clear()
         assert cli._verify_one(cc, 5) == []
         assert built == [cc]
+
+
+def parse_text(parser, argv):
+    """The parsed options, or the exit code, with the stdout and stderr
+    text of parsing `argv`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_subcommand_parser_prints_what_the_full_parser_prints(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    (commands,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    cases = [[], ["-h"], ["--help"], ["--version"], ["bogus"], ["bogus", "--seed", "1"]]
+    for name, sub in commands.choices.items():
+        required = [arg for a in sub._actions if a.required for arg in (a.option_strings[0], "1")]
+        cases += [[name, "-h"], [name], [name, *required, "--bogus"], [name, *required, "extra"]]
+        for a in sub._actions:
+            if a.type is not None or a.choices is not None:
+                cases += [[name, *required, a.option_strings[0], v] for v in ("0", "x")]
+    for argv in cases:
+        # main builds the parser of the command its first token names
+        only = cli.build_parser(argv[0] if argv else None)
+        assert parse_text(only, argv) == parse_text(cli.build_parser(), argv), argv
+    assert {a[0] for a in cases if a} >= set(commands.choices)
+    assert parse_text(cli.build_parser(), ["learn", "--trials", "0"])[0] == 2
+
+
+def test_learn_exact_builds_one_ldim_cache(monkeypatch, capsys, c3_file):
+    from thicket.littlestone import LdimCache
+
+    real_init, built = LdimCache.__init__, []
+
+    def init(self, root):
+        built.append(root)
+        real_init(self, root)
+
+    monkeypatch.setattr(LdimCache, "__init__", init)
+    code, out, _ = run(capsys, ["learn-exact", "--class", c3_file, "--target", "A"])
+    assert code == 0
+    assert json.loads(out)["ldim"] == 1
+    assert len(built) == 1
+
+
+def test_main_without_arguments_reads_sys_argv(monkeypatch, capsys, c3_file):
+    monkeypatch.setattr(sys, "argv", ["thicket", "ldim", "--class", c3_file])
+    code, out, _ = run(capsys, None)
+    assert code == 0
+    assert json.loads(out)["config"]["class"] == c3_file
+    monkeypatch.setattr(sys, "argv", ["thicket", "--version"])
+    assert run(capsys, None)[:2] == (0, __version__ + "\n")

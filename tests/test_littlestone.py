@@ -217,8 +217,12 @@ def test_keeps_matches_plain_recursion_on_three_points():
 
 
 def test_keeps_matches_plain_recursion_where_the_greedy_goes():
-    for k in range(4):
-        cc = random_class(random.Random(f"keeps {k}"), 7, 14, 7, 10)
+    drawn = [random_class(random.Random(f"keeps {k}"), 7, 14, 7, 10) for k in range(4)]
+    # and each with an eighth point that no concept splits, read 0 or 1 by all
+    one_sided = [
+        mk_class([c.bitstring() + str(k % 2) for c in cc.concepts]) for k, cc in enumerate(drawn)
+    ]
+    for cc in drawn + one_sided:
         cache = LdimCache(cc)
         real, reached = cache.keeps, set()
 
