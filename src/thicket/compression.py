@@ -25,13 +25,23 @@ The scheme runs once, on indices: a class is a concept mask of an
 :class:`LdimCache` root, a sample a point mask with label bits over the
 same points (bit p is the label at point p), and a decoder returns
 label bits. Each greedy step reads the current class's keep table
-(`LdimCache.keeps`): the sample points that drop the dimension are one
-mask, and the pinned point is its lowest bit. `greedy_run`, `compress`
-and `build_reconstructors` wrap this core with point names.
-`certify_scheme` drives it directly over the distinct
-``concept_bits & S`` of every point mask S and reports violations, none
-of which should exist; decoders are pure functions of their tuple, so
-it evaluates each at most once per distinct tuple.
+(`LdimCache.keeps`): a sample point drops the dimension when its label
+is not the one kept there, and the step pins the lowest such point.
+
+The greedy is written once, as a walk over the runs of many samples on
+one point set at a time: samples that have pinned the same points with
+the same labels share the step that follows, so the runs form a prefix
+tree. A node holds the current class and the group of concepts whose
+samples reach it; one scan of its keep table hands each concept to the
+child at its lowest dropping point, and the leaves are the samples,
+each with its realizer mask. `greedy_run` and `compress` walk the
+realizers of one sample, which give one leaf, and `build_reconstructors`
+names the decoders' points. `certify_scheme` walks the whole class on
+every point mask S, so each shared step is taken once per S and not
+once per sample, and reports violations, none of which should exist;
+decoders are pure functions of their tuple, so it evaluates each at
+most once per distinct tuple, trying first the one the tuple's shape
+names.
 """
 
 from __future__ import annotations
@@ -65,43 +75,68 @@ def _realizers(cache: LdimCache, mask: int, points: Sequence[int], key: int) -> 
     return mask
 
 
-def _greedy(
-    cache: LdimCache, mask: int, d: int, subset: int, key: int
-) -> tuple[list[int], list[int], bool]:
-    """The greedy pass over the sample points `subset`, ascending: the points
-    pinned with labels 1 and 0, in the order chosen, and whether all d steps
-    ran."""
+Leaf = tuple[int, int, tuple[int, ...], tuple[int, ...]]
+
+
+def _walk(
+    cache: LdimCache, mask: int, d: int, points: Sequence[int], group: int
+) -> list[Leaf]:
+    """The greedy runs of every sample realized by `group` (a submask of the
+    class `mask`) on the ascending point indices `points`, walked as one
+    prefix tree.
+
+    A node is a subclass, the group of concepts whose samples reach it, and
+    the points pinned with labels 1 and 0 so far. Its keep table is read
+    once; scanning the points in ascending order, the group's concepts
+    whose label drops the dimension at a point are pinned there and form
+    one child, and at a point where both labels drop it the rest splits
+    by label. A node with d pins (its class has dimension 0) is a full
+    run; a scan that ends with concepts left is an early halt, since
+    those all carry the labels that keep the dimension. Either way the
+    leaf is one sample, and its group is that sample's realizer mask.
+    Returns the leaves ``(class, realizers, ones, zeros)``, in no set order.
+    """
+    if d == 0:
+        return [(mask, group, (), ())]
     keeps, level = cache.keeps, cache.level_mask
-    ones: list[int] = []
-    zeros: list[int] = []
-    for _ in range(d):
-        keep0, keep1 = keeps(mask)
-        # the sample points whose labeled restriction drops the dimension
-        drops = subset & ~(keep1 & key | keep0 & ~key)
-        if not drops:
-            # every labeled restriction keeps the dimension: exceptional
-            return ones, zeros, False
-        p = (drops & -drops).bit_length() - 1
-        label = key >> p & 1
-        (ones if label else zeros).append(p)
-        mask &= level(p, label)
-    return ones, zeros, True
+    levels = [(1 << p, p, level(p, 0), level(p, 1)) for p in points]
+    leaves: list[Leaf] = []
+    stack = [(mask, group, (), ())]
+    while stack:
+        sub, rest, ones, zeros = stack.pop()
+        # a child that pins the d-th point is a full run
+        out = leaves if len(ones) + len(zeros) + 1 == d else stack
+        keep0, keep1 = keeps(sub)
+        for bit, p, at0, at1 in levels:
+            if not keep1 & bit:
+                moved = rest & at1
+                if moved:
+                    rest ^= moved
+                    out.append((sub & at1, moved, ones + (p,), zeros))
+            if not keep0 & bit:
+                moved = rest & at0
+                if moved:
+                    rest ^= moved
+                    out.append((sub & at0, moved, ones, zeros + (p,)))
+            if not rest:
+                break
+        else:
+            leaves.append((sub, rest, ones, zeros))
+    return leaves
 
 
-def _compress(
-    cache: LdimCache, mask: int, d: int, subset: int, key: int
-) -> tuple[int, ...]:
-    """Compress on indices; see `compress` for the padding."""
-    ones, zeros, completed = _greedy(cache, mask, d, subset, key)
-    if completed:
-        return tuple(ones + zeros)
+def _pad(ones: tuple[int, ...], zeros: tuple[int, ...], d: int, low: int) -> tuple[int, ...]:
+    """The tuple of a greedy leaf, padded as `compress` documents; `low` is
+    the lowest sample point."""
+    if len(ones) + len(zeros) == d:
+        return ones + zeros
     if ones:
-        out, pad = ones + [ones[0]] + zeros, ones[0]
+        out, pad = ones + (ones[0],) + zeros, ones[0]
     elif zeros:
-        out, pad = zeros + [zeros[0]], zeros[0]
+        out, pad = zeros + (zeros[0],), zeros[0]
     else:
-        out, pad = [], (subset & -subset).bit_length() - 1
-    return tuple(out + [pad] * (d - len(out)))
+        out, pad = (), low
+    return out + (pad,) * (d - len(out))
 
 
 def _index_decoders(cache: LdimCache, mask: int) -> tuple[Decoder, ...]:
@@ -159,27 +194,31 @@ def _root(concept_class: ConceptClass, cache: LdimCache | None) -> tuple[LdimCac
     return _cache_for(concept_class, cache)
 
 
-def _index_sample(
+def _index_run(
     concept_class: ConceptClass,
     sample: PartialAssignment,
     cache: LdimCache | None,
-) -> tuple[LdimCache, int, int, int, int]:
-    """Validate a named sample; return the arguments of the index core."""
+) -> tuple[int, list[int], Leaf]:
+    """Validate a named sample and walk its realizers: the class dimension,
+    the ascending sample point indices, and the sample's one leaf."""
     cache, mask = _root(concept_class, cache)
     if not sample:
         raise ValueError("cannot compress an empty sample")
     points: list[int] = []
-    subset = key = 0
+    key = 0
     for point, label in sample.items():
         p = concept_class.domain.index(point)
         if label not in (0, 1):
             raise ValueError(f"sample labels must be 0 or 1, got {label!r}")
         points.append(p)
-        subset |= 1 << p
         key |= label << p
-    if _realizers(cache, mask, points, key) == 0:
+    points.sort()
+    realizers = _realizers(cache, mask, points, key)
+    if realizers == 0:
         raise ValueError("sample is not realizable by the class")
-    return cache, mask, cache.ldim_mask(mask), subset, key
+    d = cache.ldim_mask(mask)
+    (leaf,) = _walk(cache, mask, d, points, realizers)
+    return d, points, leaf
 
 
 @dataclass(frozen=True)
@@ -203,10 +242,12 @@ def greedy_run(
     cache: LdimCache | None = None,
 ) -> GreedyRun:
     """Run the greedy dimension-dropping pass; see the module docstring."""
-    ones, zeros, completed = _greedy(*_index_sample(concept_class, sample, cache))
+    d, _, (_, _, ones, zeros) = _index_run(concept_class, sample, cache)
     names = concept_class.domain.points
     return GreedyRun(
-        tuple(names[p] for p in ones), tuple(names[p] for p in zeros), completed
+        tuple(names[p] for p in ones),
+        tuple(names[p] for p in zeros),
+        len(ones) + len(zeros) == d,
     )
 
 
@@ -223,7 +264,8 @@ def compress(
     (zeros..., zeros[0], zeros[0]...), and an immediate halt repeats the
     first sample point in domain order d times.
     """
-    tup = _compress(*_index_sample(concept_class, sample, cache))
+    d, points, (_, _, ones, zeros) = _index_run(concept_class, sample, cache)
+    tup = _pad(ones, zeros, d, points[0])
     return tuple(concept_class.domain.points[p] for p in tup)
 
 
@@ -286,10 +328,11 @@ def certify_scheme(
 
     Samples are restrictions of class concepts to nonempty point subsets
     of size up to `max_sample_size` (the whole domain by default), taken
-    per subset in first-seen concept order. A sample fails when it is not
-    realizable, its tuple is not d of its own points, or no reconstructor
-    returns a concept agreeing with it. Decoders are pure functions of
-    their tuple, so each is evaluated at most once per distinct tuple.
+    per subset in first-seen concept order: the leaves of the subset's
+    walk, by lowest realizer. A sample fails when it is not realizable,
+    its tuple is not d of its own points, or no reconstructor returns a
+    concept agreeing with it. Decoders are pure functions of their
+    tuple, so each is evaluated at most once per distinct tuple.
     """
     cache, mask = _root(concept_class, cache)
     n = len(concept_class.domain)
@@ -305,25 +348,33 @@ def certify_scheme(
     for size in range(1, min(limit, n) + 1):
         for points in combinations(range(n), size):
             subset = sum(1 << p for p in points)
-            seen: set[int] = set()
-            for concept_bits in bits:
-                key = concept_bits & subset
-                if key in seen:
-                    continue
-                seen.add(key)
-                tested += 1
-                realizable = _realizers(cache, mask, points, key) != 0
-                # the greedy needs a realizable sample: its classes stay nonempty
-                tup = _compress(cache, mask, d, subset, key) if realizable else ()
+            inside = frozenset(points).issuperset
+            leaves = _walk(cache, mask, d, points, mask)
+            # first-seen concept order: by each sample's lowest realizer
+            leaves.sort(key=lambda leaf: leaf[1] & -leaf[1])
+            tested += len(leaves)
+            for _, realizers, ones, zeros in leaves:
+                # the leaf's sample, read off its lowest realizer (a leaf
+                # with none would be a fault of the walk, reported below)
+                key = bits[(realizers & -realizers).bit_length() - 1] & subset
+                tup = _pad(ones, zeros, d, points[0])
                 problem = None
-                if not realizable:
+                if not realizers:
                     problem = "sample is not realizable by the class"
                 elif len(tup) != d:
                     problem = f"tuple has length {len(tup)}, expected {d}"
-                elif sum(1 << p for p in set(tup)) & ~subset:
+                elif not inside(tup):
                     problem = "tuple uses points outside the sample"
-                elif not any((rho(tup) ^ key) & subset == 0 for rho in rhos):
-                    problem = "no reconstructor recovers the sample"
+                else:
+                    # try first the decoder the tuple's shape names: rho_i
+                    # for a full run with i ones, and the label of the
+                    # tuple's first point for an early halt
+                    full = len(ones) + len(zeros) == d
+                    first = rhos[len(ones) if full else key >> tup[0] & 1]
+                    if (first(tup) ^ key) & subset and not any(
+                        (rho(tup) ^ key) & subset == 0 for rho in rhos
+                    ):
+                        problem = "no reconstructor recovers the sample"
                 if problem is not None:
                     sample = {names[p]: key >> p & 1 for p in points}
                     named = [names[p] for p in tup]

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from thicket import (
+    ConceptClass,
     GreedyRun,
     LdimCache,
     build_reconstructors,
@@ -224,11 +225,12 @@ def test_samples_tested_matches_independent_count():
         assert certify_scheme(cc, limit).samples_tested == ref_sample_count(patterns, limit)
 
 
-def realizable_samples(patterns):
+def realizable_samples(patterns, limit=None):
     """Every realizable sample {point index: label}, per nonempty point
-    subset in first-seen pattern order."""
+    subset of at most `limit` points (all by default) in first-seen
+    pattern order."""
     n = len(patterns[0])
-    for size in range(1, n + 1):
+    for size in range(1, min(n, limit or n) + 1):
         for subset in combinations(range(n), size):
             for labels in dict.fromkeys(tuple(c[p] for p in subset) for c in patterns):
                 yield dict(zip(subset, labels))
@@ -299,3 +301,141 @@ def test_certify_uses_a_given_cache():
     cache = LdimCache(cc)
     assert certify_scheme(cc, cache=cache) == certify_scheme(cc)
     assert cache._keeps
+
+
+def oracle_classes():
+    """All 255 three-point classes and random 6-8-point classes."""
+    classes = list(all_three_point_classes())
+    classes += [random_class(random.Random(f"walk {k}"), 8, 12, 6, 6) for k in range(6)]
+    return classes
+
+
+def even_first_decoders(cache, mask):
+    """d + 1 decoders recovering only some tuples: all of them answer all
+    zeros, except the last, which answers all ones on a tuple whose first
+    point index is even."""
+    everything = (1 << len(cache.root.domain)) - 1
+
+    def last(points):
+        return everything if points and points[0] % 2 == 0 else 0
+
+    return (lambda points: 0,) * cache.ldim_mask(mask) + (last,)
+
+
+def oracle_report(patterns, names, limit, dim):
+    """The report `certify_scheme` gives under `even_first_decoders`, from
+    `ref_greedy`, the documented padding and first-seen sample order."""
+    d = dim(patterns)
+    tested, failures = 0, []
+    for sample in realizable_samples(patterns, limit):
+        tested += 1
+        tup = padded(*ref_greedy(patterns, sample, dim), sample, d)
+        labels = set(sample.values())
+        answers = {0}
+        if tup and tup[0] % 2 == 0:
+            answers.add(1)
+        # an answer is constant, so it recovers exactly the constant samples
+        if not (len(labels) == 1 and labels <= answers):
+            failures.append(
+                {
+                    "sample": {names[p]: label for p, label in sample.items()},
+                    "tuple": [names[p] for p in tup],
+                    "reason": "no reconstructor recovers the sample",
+                }
+            )
+    return {"d": d, "rho_count": d + 1, "samples_tested": tested, "failures": failures}
+
+
+def test_certify_failure_lists_match_an_oracle(monkeypatch):
+    monkeypatch.setattr(compression, "_index_decoders", even_first_decoders)
+    dim = functools.cache(ref_ldim)
+    failed = 0
+    for cc in oracle_classes():
+        patterns = tuple(c.bits for c in cc.concepts)
+        n = len(cc.domain)
+        for limit in sorted({1, 2, n - 3, n}):
+            if limit < 1:
+                continue
+            report = certify_scheme(cc, None if limit == n else limit).as_dict()
+            assert report == oracle_report(patterns, cc.domain.points, limit, dim)
+            failed += len(report["failures"])
+    assert failed
+
+
+def test_walk_leaves_are_the_samples_with_their_realizers():
+    """Each leaf of a subset's walk is one sample: its group is the AND of
+    the level masks of its labels, its class is the sample's at the end
+    of the run, and its pins are those of a plain sample-by-sample greedy
+    on the cache's keep tables."""
+    seen = Counter()
+    for cc in oracle_classes():
+        cache = LdimCache(cc)
+        mask, bits, n = cache.full_mask, cache.point_bits, len(cc.domain)
+        d = cache.ldim_mask(mask)
+        seen["d = 0"] += d == 0
+        for size in range(1, n + 1):
+            for points in combinations(range(n), size):
+                subset = sum(1 << p for p in points)
+                leaves = compression._walk(cache, mask, d, points, mask)
+                groups = [realizers for _, realizers, _, _ in leaves]
+                assert all(groups) and sum(groups) == mask
+                keys = {bits[(g & -g).bit_length() - 1] & subset for g in groups}
+                assert len(keys) == len(leaves) == len({c & subset for c in bits})
+                for sub, realizers, ones, zeros in leaves:
+                    key = bits[(realizers & -realizers).bit_length() - 1] & subset
+                    expected = mask
+                    for p in points:
+                        expected &= cache.level_mask(p, key >> p & 1)
+                    assert realizers == expected
+                    # the leaf's class: one concept after a full run, and one
+                    # the sample is exceptional for after a halt
+                    keep0, keep1 = cache.keeps(sub)
+                    assert realizers & sub == realizers
+                    assert len(ones) + len(zeros) == d and sub == realizers or (
+                        subset & ~(keep1 & key | keep0 & ~key) == 0
+                    )
+                    sub, pins = mask, []
+                    for _ in range(d):
+                        keep0, keep1 = cache.keeps(sub)
+                        drops = subset & ~(keep1 & key | keep0 & ~key)
+                        if not drops:
+                            break
+                        p = (drops & -drops).bit_length() - 1
+                        if not (keep0 | keep1) >> p & 1:
+                            seen["no keep label"] += 1
+                        pins.append(p)
+                        sub &= cache.level_mask(p, key >> p & 1)
+                    assert ones == tuple(p for p in pins if key >> p & 1)
+                    assert zeros == tuple(p for p in pins if not key >> p & 1)
+                    if len(pins) == d:
+                        seen["full"] += 1
+                    elif pins:
+                        seen["halt after ones" if ones else "halt after zeros"] += 1
+                    else:
+                        seen["immediate"] += 1
+    assert set(seen) == {
+        "d = 0", "no keep label", "full", "halt after ones", "halt after zeros", "immediate"
+    }
+    assert all(seen.values())
+
+
+def test_certify_falls_back_to_every_decoder(monkeypatch):
+    classes = oracle_classes()
+    expected = [certify_scheme(cc).samples_tested for cc in classes]
+    real = compression._index_decoders
+    monkeypatch.setattr(
+        compression, "_index_decoders", lambda cache, mask: real(cache, mask)[::-1]
+    )
+    # the decoder a tuple's shape names is now the wrong one, mostly
+    for cc, tested in zip(classes, expected):
+        report = certify_scheme(cc)
+        assert report.ok
+        assert report.samples_tested == tested
+
+
+def test_certify_on_a_larger_cache_root_replays_only_the_class():
+    big = random_class(random.Random("larger root"), 6, 24, 6, 20)
+    cache = LdimCache(big)
+    sub = ConceptClass(big.domain, big.concepts[::3])
+    assert cache.mask_of(sub) != cache.full_mask
+    assert certify_scheme(sub, cache=cache) == certify_scheme(sub)
