@@ -29,10 +29,7 @@ from .concepts import (
     PartialAssignment,
     load_class,
     load_class_with_prior,
-    mass,
-    restrict,
     save_class,
-    symmetric_difference,
 )
 from .generate import random_class, random_classes
 from .learner import (
@@ -46,13 +43,7 @@ from .learner import (
     teacher_respond,
 )
 from .littlestone import LdimCache, canonical_partial, drop, is_exceptional, ldim
-from .querygraph import (
-    QueryGraph,
-    edge_weight,
-    find_deficient_cycle,
-    max_min_query,
-    query_rank,
-)
+from .querygraph import QueryGraph, edge_weight, find_deficient_cycle
 from .staged import (
     AtomizedPrefix,
     CountableFamily,
@@ -111,15 +102,11 @@ __all__ = [
     "ldim",
     "load_class",
     "load_class_with_prior",
-    "mass",
-    "max_min_query",
     "monte_carlo_trials",
     "negative_feedback_probability",
     "prefix_size",
-    "query_rank",
     "random_class",
     "random_classes",
-    "restrict",
     "run_staged_learner",
     "run_thicket_learner",
     "sample_target",
@@ -128,7 +115,6 @@ __all__ = [
     "stage_epsilon",
     "staged_trials",
     "step_budget",
-    "symmetric_difference",
     "teacher_respond",
     "__version__",
 ]

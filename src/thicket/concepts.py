@@ -39,10 +39,7 @@ __all__ = [
     "PartialAssignment",
     "load_class",
     "load_class_with_prior",
-    "mass",
-    "restrict",
     "save_class",
-    "symmetric_difference",
 ]
 
 # A partial assignment maps point names to labels in {0, 1}.
@@ -95,9 +92,6 @@ class Domain:
         except KeyError:
             raise DomainMismatchError(f"unknown point identifier {point!r}") from None
 
-    def weight(self, point: str) -> Fraction:
-        return self.mu[self.index(point)]
-
 
 @dataclass(frozen=True)
 class Concept:
@@ -124,10 +118,6 @@ class Concept:
     def bitstring(self) -> str:
         return "".join(str(b) for b in self.bits)
 
-    def as_assignment(self) -> dict[str, int]:
-        """The concept as a total point-to-label map."""
-        return dict(zip(self.domain.points, self.bits))
-
 
 @dataclass(frozen=True)
 class ConceptClass:
@@ -135,9 +125,8 @@ class ConceptClass:
 
     Order is canonical: it fixes every lowest-index tie-break downstream
     (query selection, reconstruction) and the serialization order of
-    class files. An empty class is a legal value; it normally arises as
-    the result of a restriction, though a file may declare one with an
-    empty "concepts" object.
+    class files. An empty class is a legal value; a file may declare one
+    with an empty "concepts" object.
     """
 
     domain: Domain
@@ -182,49 +171,6 @@ class ConceptClass:
             return self.concepts[self.labels.index(name)]
         except ValueError:
             raise ValueError(f"no concept labeled {name!r}") from None
-
-
-def restrict(concept_class: ConceptClass, assignment: PartialAssignment) -> ConceptClass:
-    """Subclass of concepts agreeing with `assignment` at every assigned point.
-
-    The empty assignment returns an equal class. Concept order and labels
-    are preserved.
-    """
-    positions = []
-    for point, label in assignment.items():
-        if label not in (0, 1):
-            raise ClassValidationError(f"assignment labels must be 0 or 1, got {label!r}")
-        positions.append((concept_class.domain.index(point), label))
-    keep = [
-        i
-        for i, c in enumerate(concept_class.concepts)
-        if all(c.bits[p] == v for p, v in positions)
-    ]
-    labels = None
-    if concept_class.labels is not None:
-        labels = tuple(concept_class.labels[i] for i in keep)
-    return ConceptClass(
-        concept_class.domain,
-        tuple(concept_class.concepts[i] for i in keep),
-        labels,
-    )
-
-
-def symmetric_difference(a: Concept, b: Concept) -> frozenset[str]:
-    """Points where the two concepts disagree. Empty iff the concepts are equal."""
-    if a.domain != b.domain:
-        raise DomainMismatchError("concepts live on different domains")
-    return frozenset(
-        p for p, x, y in zip(a.domain.points, a.bits, b.bits) if x != y
-    )
-
-
-def mass(domain: Domain, points: Iterable[str]) -> Fraction:
-    """Total weight of a set of points. Empty sets have mass 0."""
-    total = Fraction(0)
-    for p in set(points):
-        total += domain.weight(p)
-    return total
 
 
 _REQUIRED_KEYS = {"domain", "mu", "concepts"}

@@ -80,7 +80,6 @@ class Transcript:
     """
 
     queries: tuple[tuple[Concept, TeacherResponse], ...]
-    seed: int | None = None
 
     @property
     def query_count(self) -> int:
@@ -198,7 +197,6 @@ def run_thicket_learner(
     target: Concept,
     rng: random.Random,
     graph: QueryGraph | None = None,
-    seed: int | None = None,
 ) -> Transcript:
     """Run the max-min learner until the teacher confirms the target.
 
@@ -219,7 +217,7 @@ def run_thicket_learner(
         step = table[mask]
         if step is None:
             entries.append((root.concepts[t], TeacherResponse()))
-            return Transcript(tuple(entries), seed)
+            return Transcript(tuple(entries))
         q, diff, total, thresholds, successors = step
         k = bisect_right(thresholds, rng.getrandbits(64) * total)
         p = diff[k]

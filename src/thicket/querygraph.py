@@ -43,8 +43,6 @@ __all__ = [
     "QueryGraph",
     "edge_weight",
     "find_deficient_cycle",
-    "max_min_query",
-    "query_rank",
 ]
 
 # a subclass's shared row terms: base N and D lane vectors, then one
@@ -56,8 +54,9 @@ class QueryGraph:
     """Lazy edge-weight and query-selection engine for one root class.
 
     All methods take a subclass bitmask (see LdimCache) so the learner
-    can keep using one engine while it restricts the class; the module
-    level functions below wrap the common whole-class case.
+    can keep using one engine while it restricts the class;
+    :func:`edge_weight` and :func:`find_deficient_cycle` below take a
+    whole class.
 
     Weights are computed in integers. With L the least common multiple
     of the mu denominators, each point carries the integer mass
@@ -271,25 +270,6 @@ def edge_weight(
     """Exact d(a, b) in the given class. Requires a != b, both members."""
     graph, mask = _whole(concept_class, graph)
     return graph.weight(mask, graph.root.index_of(a), graph.root.index_of(b))
-
-
-def query_rank(
-    concept_class: ConceptClass,
-    a: Concept,
-    graph: QueryGraph | None = None,
-) -> Fraction | float:
-    """Minimum weight over edges leaving `a`; +inf in a singleton class."""
-    graph, mask = _whole(concept_class, graph)
-    return graph.rank(mask, graph.root.index_of(a))
-
-
-def max_min_query(
-    concept_class: ConceptClass,
-    graph: QueryGraph | None = None,
-) -> Concept:
-    """The concept with maximal query rank, lowest class index on ties."""
-    graph, mask = _whole(concept_class, graph)
-    return graph.root.concepts[graph.best_query(mask)]
 
 
 def find_deficient_cycle(

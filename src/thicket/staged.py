@@ -91,7 +91,8 @@ class CountableFamily(ABC):
     Concepts are addressed by their 0-based enumeration index. Points of
     the underlying domain are family specific (rationals for interval
     families, point names for finite ones); only `atomize` and `respond`
-    touch them.
+    touch them, so the interface has no point-level labeling method of
+    its own.
     """
 
     #: upper bound on the dimension of every enumeration prefix, >= 1
@@ -112,10 +113,6 @@ class CountableFamily(ABC):
     @abstractmethod
     def prior(self, index: int) -> Fraction:
         """Prior probability of the concept at `index`."""
-
-    @abstractmethod
-    def eval(self, index: int, point: Any) -> int:
-        """Label the concept at `index` assigns to a real domain point."""
 
     @abstractmethod
     def atomize(self, indices: list[int]) -> AtomizedPrefix:
@@ -269,6 +266,7 @@ class IntervalFamily(CountableFamily):
         return self.ratio * (1 - self.ratio) ** index
 
     def eval(self, index: int, point: Any) -> int:
+        """Label of the concept at `index` at a rational point."""
         low, high = self.interval(index)
         return 1 if low < point < high else 0
 
@@ -348,9 +346,6 @@ class FiniteFamily(CountableFamily):
     def prior(self, index: int) -> Fraction:
         return self.tau[index]
 
-    def eval(self, index: int, point: Any) -> int:
-        return self.concept_class.concepts[index].value(point)
-
     def atomize(self, indices: list[int]) -> AtomizedPrefix:
         cc = self.concept_class
         cls = ConceptClass(
@@ -378,7 +373,6 @@ class StagedResult:
     queries: int
     stages: int
     history: tuple[tuple[Any, int], ...]
-    seed: int | None = None
 
 
 def run_staged_learner(
@@ -386,7 +380,6 @@ def run_staged_learner(
     target: int,
     rng: random.Random,
     stage_cap: int = 30,
-    seed: int | None = None,
 ) -> StagedResult:
     """Learn an enumeration member with staged prefixes and budgets.
 
@@ -414,11 +407,11 @@ def run_staged_learner(
             response = family.respond(target, graph.best_query(mask), rng)
             queries += 1
             if response.equivalent:
-                return StagedResult(True, queries, stage, tuple(history), seed)
+                return StagedResult(True, queries, stage, tuple(history))
             history.append((response.point, response.label))
             atom = index(atoms.locate(response.point))
             mask = cache.restrict_mask(mask, atom, response.label)
-    return StagedResult(False, queries, stage_cap, tuple(history), seed)
+    return StagedResult(False, queries, stage_cap, tuple(history))
 
 
 def sample_target(family: CountableFamily, rng: random.Random) -> int:

@@ -239,6 +239,15 @@ def mk_class(bitstrings, mu=None, labels=None):
     return ConceptClass(domain, concepts, labels)
 
 
+def subclass(cc, point, label):
+    """The concepts of `cc` labeling `point` with `label`, in class order
+    and with their labels."""
+    p = cc.domain.index(point)
+    keep = [i for i, c in enumerate(cc.concepts) if c.bits[p] == label]
+    labels = None if cc.labels is None else tuple(cc.labels[i] for i in keep)
+    return ConceptClass(cc.domain, tuple(cc.concepts[i] for i in keep), labels)
+
+
 def one_hot(n):
     """n concepts over n uniform points, concept i labeling only point i."""
     return mk_class(["".join("1" if p == i else "0" for p in range(n)) for i in range(n)])

@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 from thicket import (
     ClassValidationError,
     Concept,
-    ConceptClass,
     Domain,
     DomainMismatchError,
     load_class,
     load_class_with_prior,
-    mass,
-    restrict,
     save_class,
-    symmetric_difference,
 )
 
 from helpers import c3, mk_class
@@ -40,7 +36,6 @@ def test_domain_rejects_bad_total():
 def test_uniform_domain():
     d = Domain.uniform(("a", "b", "c"))
     assert d.mu == (Fraction(1, 3),) * 3
-    assert d.weight("b") == Fraction(1, 3)
     assert d.index("c") == 2
     assert len(d) == 3
 
@@ -57,7 +52,6 @@ def test_concept_bitstring_round_trip():
     assert c.bitstring() == "101"
     assert c.value("x1") == 1
     assert c.value("x2") == 0
-    assert c.as_assignment() == {"x1": 1, "x2": 0, "x3": 1}
 
 
 def test_concept_length_mismatch():
@@ -91,44 +85,6 @@ def test_class_lookup():
 def test_generated_labels():
     cc = mk_class(["10", "01"])
     assert [cc.label(i) for i in range(2)] == ["c0", "c1"]
-
-
-def test_restrict_empty_assignment_is_identity():
-    cc = c3()
-    assert restrict(cc, {}) == cc
-
-
-def test_restrict_powerset():
-    cc = mk_class(["00", "01", "10", "11"])
-    kept = restrict(cc, {"x1": 1})
-    assert sorted(c.bitstring() for c in kept.concepts) == ["10", "11"]
-
-
-def test_restrict_two_points():
-    kept = restrict(c3(), {"x1": 1, "x2": 0})
-    assert [c.bitstring() for c in kept.concepts] == ["10"]
-
-
-def test_restrict_unknown_point():
-    with pytest.raises(DomainMismatchError):
-        restrict(c3(), {"zz": 1})
-
-
-def test_symmetric_difference():
-    cc = mk_class(["110", "100"])
-    a, b = cc.concepts
-    assert symmetric_difference(a, a) == frozenset()
-    assert symmetric_difference(a, b) == frozenset({"x2"})
-    c2 = mk_class(["10", "01"])
-    assert symmetric_difference(*c2.concepts) == frozenset({"x1", "x2"})
-
-
-def test_mass():
-    d4 = Domain.uniform(("x1", "x2", "x3", "x4"))
-    assert mass(d4, frozenset()) == 0
-    assert mass(d4, {"x1", "x2"}) == Fraction(1, 2)
-    d3 = Domain(("x1", "x2", "x3"), (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
-    assert mass(d3, {"x1", "x3"}) == Fraction(2, 3)
 
 
 def test_load_minimal_singleton():

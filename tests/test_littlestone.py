@@ -16,7 +16,6 @@ from thicket import (
     drop,
     is_exceptional,
     ldim,
-    restrict,
 )
 from thicket.generate import random_class
 
@@ -28,6 +27,7 @@ from helpers import (
     powerset3,
     recursion_headroom,
     ref_ldim,
+    subclass,
 )
 
 
@@ -109,9 +109,9 @@ def test_canonical_partial_extends_every_exceptional_function():
 def test_cache_shared_across_restrictions():
     cc = c3()
     cache = LdimCache(cc)
-    sub = restrict(cc, {"x1": 1})
+    sub = subclass(cc, "x1", 1)
     assert ldim(sub, cache) == 1
-    assert ldim(restrict(cc, {"x1": 0}), cache) == 0
+    assert ldim(subclass(cc, "x1", 0), cache) == 0
     # memo survives, root unchanged
     assert ldim(cc, cache) == 1
 
@@ -139,7 +139,7 @@ def test_restriction_never_raises_dimension(bits):
     base = ldim(cc, cache)
     for point in cc.domain.points:
         for label in (0, 1):
-            sub = restrict(cc, {point: label})
+            sub = subclass(cc, point, label)
             assert ldim(sub, cache) <= base
 
 
@@ -190,7 +190,7 @@ def test_pruned_dimension_matches_plain_recursion_on_restrictions():
         for p, point in enumerate(cc.domain.points):
             for label in (0, 1):
                 kept = [c for c in patterns if c[p] == label]
-                assert ldim(restrict(cc, {point: label}), cache) == ref_ldim(kept), k
+                assert ldim(subclass(cc, point, label), cache) == ref_ldim(kept), k
     assert {3, 4} <= seen
 
 

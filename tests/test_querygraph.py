@@ -6,14 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from thicket import (
-    QueryGraph,
-    edge_weight,
-    find_deficient_cycle,
-    ldim,
-    max_min_query,
-    query_rank,
-)
+from thicket import QueryGraph, edge_weight, find_deficient_cycle
 from thicket.generate import random_classes
 
 from helpers import (
@@ -48,28 +41,30 @@ def test_self_edge_is_undefined():
 
 
 def test_worked_class_query_ranks():
-    cc = c3()
-    a, b, c = cc.concepts
-    assert query_rank(cc, a) == 0
-    assert query_rank(cc, b) == 0
-    assert query_rank(cc, c) == 1
+    graph = QueryGraph(c3())
+    full = graph.cache.full_mask
+    assert graph.rank(full, 0) == 0
+    assert graph.rank(full, 1) == 0
+    assert graph.rank(full, 2) == 1
 
 
 def test_singleton_rank_is_infinite():
-    cc = mk_class(["1"])
-    assert query_rank(cc, cc.concepts[0]) == math.inf
-    assert max_min_query(cc) == cc.concepts[0]
+    graph = QueryGraph(mk_class(["1"]))
+    full = graph.cache.full_mask
+    assert graph.rank(full, 0) == math.inf
+    assert graph.best_query(full) == 0
 
 
 def test_worked_class_max_min_query():
     cc = c3()
-    assert max_min_query(cc) == cc.by_label("C")
+    graph = QueryGraph(cc)
+    assert graph.best_query(graph.cache.full_mask) == cc.index_of(cc.by_label("C"))
 
 
 def test_two_concept_tie_breaks_low():
-    cc = mk_class(["10", "01"])
+    graph = QueryGraph(mk_class(["10", "01"]))
     # both ranks are equal, the first concept wins the tie
-    assert max_min_query(cc) == cc.concepts[0]
+    assert graph.best_query(graph.cache.full_mask) == 0
 
 
 def test_no_deficient_cycle_trivially():
@@ -175,8 +170,9 @@ def test_chosen_query_rank_at_least_half():
     for cc in random_classes(31337, 60, 4, 7):
         if len(cc) < 2:
             continue
-        best = max_min_query(cc)
-        assert query_rank(cc, best) >= HALF
+        graph = QueryGraph(cc)
+        full = graph.cache.full_mask
+        assert graph.rank(full, graph.best_query(full)) >= HALF
 
 
 def test_graph_reuse_across_subclasses():

@@ -1,0 +1,114 @@
+"""Static guards over the package source.
+
+The core is exact: every probability, weight and expectation is a
+Fraction or an int. The float guard walks the syntax tree of each module
+and reports float literals, the name ``float`` and ``math`` attributes
+outside the integer helpers. The one float the package returns is the
+``math.inf`` rank of a lone concept, allowed below by name.
+
+The export guard imports every module and resolves each name its
+``__all__`` lists, so ``from thicket.x import *`` cannot break on a
+stale entry after a removal.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import thicket
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "thicket"
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+
+INTEGER_MATH = frozenset({"lcm", "comb", "gcd", "isqrt"})
+# (module, enclosing function, offending token)
+ALLOWED = frozenset(
+    {
+        ("querygraph", "QueryGraph.rank", "math.inf"),
+        ("querygraph", "QueryGraph.rank", "float"),
+    }
+)
+
+
+def float_hits(source, module):
+    """(module, enclosing qualified name, token, line) per float use."""
+    hits = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        token = None
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            token = repr(node.value)
+        elif isinstance(node, ast.Name) and node.id == "float":
+            token = "float"
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr not in INTEGER_MATH
+        ):
+            token = f"math.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            names = [a.name for a in node.names if a.name not in INTEGER_MATH]
+            token = f"from math import {', '.join(names)}" if names else None
+        if token is not None:
+            hits.append((module, scope, token, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return hits
+
+
+def test_float_guard_sees_each_kind_of_float():
+    source = (
+        "import math\n"
+        "from math import pi, gcd\n"
+        "X = 0.5\n"
+        "class QueryGraph:\n"
+        "    def rank(self) -> float:\n"
+        "        return math.inf\n"
+        "    def other(self):\n"
+        "        return float(math.log(2)) + math.lcm(2, 3) + math.inf\n"
+    )
+    hits = sorted(hit[:3] for hit in float_hits(source, "querygraph"))
+    assert hits == sorted([
+        ("querygraph", "", "from math import pi"),
+        ("querygraph", "", "0.5"),
+        ("querygraph", "QueryGraph.rank", "float"),
+        ("querygraph", "QueryGraph.rank", "math.inf"),
+        ("querygraph", "QueryGraph.other", "float"),
+        ("querygraph", "QueryGraph.other", "math.log"),
+        ("querygraph", "QueryGraph.other", "math.inf"),
+    ])
+
+
+def test_core_is_float_free_but_for_the_lone_concept_rank():
+    hits = []
+    for module in MODULES:
+        hits += float_hits((SRC / f"{module}.py").read_text(encoding="utf-8"), module)
+    assert {hit[:3] for hit in hits} == ALLOWED, hits
+    assert len(hits) == len(ALLOWED), hits
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    name = "thicket" if module == "__init__" else f"thicket.{module}"
+    mod = importlib.import_module(name)
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    missing = [entry for entry in mod.__all__ if not hasattr(mod, entry)]
+    assert not missing, missing
+    namespace = {}
+    exec(f"from {name} import *", namespace)
+    assert set(mod.__all__) <= set(namespace)
+
+
+def test_package_exports_names_its_modules_export():
+    listed = set()
+    for module in MODULES:
+        if module != "__init__":
+            listed.update(importlib.import_module(f"thicket.{module}").__all__)
+    assert set(thicket.__all__) - listed == {"__version__"}

@@ -8,13 +8,11 @@ from thicket import (
     FiniteFamily,
     IntervalFamily,
     PriorExhaustedError,
+    QueryGraph,
     drop,
-    edge_weight,
     ldim,
-    max_min_query,
     negative_feedback_probability,
     prefix_size,
-    query_rank,
     run_staged_learner,
     sample_target,
     schedule_for,
@@ -307,16 +305,19 @@ def test_step_budget_premise_holds_in_expectation_only():
     )
     hyp, target = cc.by_label("c20"), cc.by_label("c16")
     assert ldim(cc) == 2
-    assert max_min_query(cc) == hyp
-    assert query_rank(cc, hyp) == Fraction(5, 8)
-    assert edge_weight(cc, hyp, target) == Fraction(4, 5)
+    graph = QueryGraph(cc)
+    full, h, t = graph.cache.full_mask, cc.index_of(hyp), cc.index_of(target)
+    assert graph.best_query(full) == h
+    assert graph.rank(full, h) == Fraction(5, 8)
+    assert graph.weight(full, h, t) == Fraction(4, 5)
     patterns = [c.bits for c in cc.concepts]
     assert ref_edge_weight(patterns, cc.domain.mu, 6, 3) == Fraction(4, 5)
     diff = [x for x in cc.domain.points if hyp.value(x) != target.value(x)]
     drops = {x: drop(cc, target, x) for x in diff}
     assert drops == {"x3": 2, "x5": 0}
-    mass = sum(cc.domain.weight(x) for x in diff)
-    dropped = sum(cc.domain.weight(x) for x in diff if drops[x] >= 1)
+    mu = {x: cc.domain.mu[cc.domain.index(x)] for x in diff}
+    mass = sum(mu.values())
+    dropped = sum(mu[x] for x in diff if drops[x] >= 1)
     assert dropped / mass == Fraction(2, 5)
 
 
