@@ -54,8 +54,8 @@ __all__ = ["main"]
 # sample size they check; refuse more subsets than a full 16-point domain has
 MAX_REPLAY_SUBSETS = 2**16
 MAX_REPLAY_POINTS = MAX_REPLAY_SUBSETS.bit_length() - 1
-# the dimension recursion can recurse once per restricted point, so class
-# files read by the CLI stay well inside Python's stack
+# every dimension decision scans each point of the class, so this cap
+# bounds the cost of a class file; the recursion depth does not grow with it
 MAX_CLASS_POINTS = 256
 
 

@@ -103,14 +103,14 @@ class Concept:
     def __post_init__(self) -> None:
         if len(self.bits) != len(self.domain):
             raise ClassValidationError("a concept must label every domain point")
-        if any(b not in (0, 1) for b in self.bits):
+        if self.bits.count(0) + self.bits.count(1) != len(self.bits):
             raise ClassValidationError("concept labels must be 0 or 1")
 
     @classmethod
     def from_bitstring(cls, domain: Domain, text: str) -> "Concept":
         if set(text) - {"0", "1"}:
             raise ClassValidationError(f"invalid bitstring {text!r}")
-        return cls(domain, tuple(int(ch) for ch in text))
+        return cls(domain, tuple(map(int, text)))
 
     def value(self, point: str) -> int:
         return self.bits[self.domain.index(point)]

@@ -9,19 +9,16 @@ equivalent restriction recursion
     ldim(C)         = max over splitting points x of
                       1 + min(ldim(C restricted to x=0), ldim(C restricted to x=1))
 
-with memoization over subclasses and shortcuts that never change a
-value. Concepts are distinct, so a class of two or three concepts has
-dimension 1 and classes of fewer than four are answered from their size,
-with no memo entry. The scan over splitting points stops once it reaches
-floor(log2 |C|), the largest dimension |C| concepts can have. Each
-split looks at its side with fewer concepts first and skips the other
-side when 1 + ldim(that side) cannot beat the best split so far, since
-the minimum is at most either side; a side too small to beat it by that
-log2 cap is skipped unexamined. When the smaller side has dimension 0
-or 1 the split is worth 1 + that without the larger side, which has at
-least as many concepts. On a class of n singleton concepts these
-prunings leave one memo entry and one level of recursion, where the
-plain recursion visits about 2^n subclasses, n levels deep.
+read as decisions "ldim(C) >= k". Concepts are distinct, so a class of
+two or three concepts has dimension 1 and classes of fewer than four are
+answered from their size, with no memo entry. A tree of depth k has 2^k
+distinct leaves, so ldim(C) <= floor(log2 |C|); the value is the largest
+k from that cap downwards whose decision holds. ldim(C) >= k holds when
+some point splits C into two sides that each hold at least 2^(k-1)
+concepts and each have ldim >= k - 1; k = 2 is one scan for a point with
+two concepts on each side. Proven decisions are memoized per mask beside
+the exact values. Each nested decision lowers k by one, so the recursion
+is at most floor(log2 |C|) frames deep however many points the class has.
 
 Subclasses of one root class are encoded as bitmasks over the root's
 concept indices, so the same cache serves every caller that works on
@@ -64,14 +61,15 @@ class LdimCache:
         self.root = root
         n = len(root.concepts)
         self.full_mask = (1 << n) - 1
+        rows = [c.bits for c in root.concepts]
         #: point_bits[i] = labels of root.concepts[i], bit p at point index p
-        self.point_bits = [sum(b << p for p, b in enumerate(c.bits)) for c in root.concepts]
+        self.point_bits = list(map(_as_int, rows))
         # _level_masks[p][v] = concepts taking value v at point index p
-        self._level_masks: list[tuple[int, int]] = []
-        for p in range(len(root.domain)):
-            ones = sum((bits >> p & 1) << i for i, bits in enumerate(self.point_bits))
-            self._level_masks.append((self.full_mask ^ ones, ones))
+        columns = zip(*rows) if rows else [()] * len(root.domain)
+        self._level_masks = [(self.full_mask ^ ones, ones) for ones in map(_as_int, columns)]
         self._memo: dict[int, int] = {}
+        # decisions proven per mask: lo <= ldim < hi for the pair (lo, hi)
+        self._proven: dict[int, tuple[int, int]] = {}
         self._keeps: dict[int, tuple[int, int]] = {}
 
     def mask_of(self, concept_class: ConceptClass) -> int:
@@ -132,36 +130,48 @@ class LdimCache:
             # point, and three are too few for a tree of depth 2
             return count.bit_length() - 1
         hit = self._memo.get(mask)
-        if hit is not None:
-            return hit
-        # A shattered tree of depth k has 2^k leaves realized by distinct
-        # concepts, so ldim never exceeds floor(log2 |C|): prune there.
-        upper = count.bit_length() - 1
-        best = 0
+        if hit is None:
+            # four or more concepts have dimension at least 1
+            hit = count.bit_length() - 1
+            while hit > 1 and not self._at_least(mask, hit):
+                hit -= 1
+            self._memo[mask] = hit
+        return hit
+
+    def _at_least(self, mask: int, k: int) -> bool:
+        """The decision ldim >= k, for 2 <= k <= floor(log2 |mask|); each
+        split decides its smaller side first."""
+        count = mask.bit_count()
+        if k == 2:
+            # both sides of some split hold at least 2 concepts
+            for zeros, _ in self._level_masks:
+                if 2 <= (mask & zeros).bit_count() <= count - 2:
+                    return True
+            return False
+        lo, hi = self._proven.get(mask) or (1, count.bit_length())
+        if k <= lo or k >= hi:
+            return k <= lo
+        need = 1 << (k - 1)
         for zeros, _ in self._level_masks:
             small = mask & zeros
             size = small.bit_count()
-            if size == 0 or size == count:
+            if size < need or count - size < need:
                 continue
             if 2 * size > count:
-                small, size = mask ^ small, count - size
-            # min(a, b) <= a <= floor(log2 |small|): a smaller side that
-            # cannot beat best settles the split without its larger, costlier
-            # side, and without its own recursion when it is too small
-            if size.bit_length() <= best:
-                continue
-            low = self.ldim_mask(small)
-            if low < best:
-                continue
-            # the larger side has at least as many concepts, so it has
-            # dimension at least min(low, 1)
-            candidate = 1 + (low if low <= 1 else min(low, self.ldim_mask(mask ^ small)))
-            if candidate > best:
-                best = candidate
-                if best == upper:
-                    break
-        self._memo[mask] = best
-        return best
+                small = mask ^ small
+            if self._at_least(small, k - 1) and self._at_least(mask ^ small, k - 1):
+                self._proven[mask] = (k, hi)
+                return True
+        self._proven[mask] = (lo, k)
+        return False
+
+
+def _as_int(bits: tuple[int, ...]) -> int:
+    """The labels as one int, bit p holding bits[p]."""
+    return int(bytes(bits[::-1]).translate(_DIGITS) or b"0", 2)
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _cache_for(concept_class: ConceptClass, cache: LdimCache | None) -> tuple[LdimCache, int]:

@@ -22,19 +22,21 @@ bitmasks shared with :class:`~thicket.littlestone.LdimCache`, and exposes
 the max-min query choice with lowest-index tie-breaking. It scales mu
 exactly to integers once, computes weights lazily in integer arithmetic
 and returns them as Fractions. Each concept's outgoing edges within a
-subclass are packed into one row of fixed-width integer lanes, so query
+subclass are packed into one row of fixed-width integer lanes: the
+denominators once per concept, the numerators per subclass. Query
 selection prunes a candidate with one lane-wise test against the
-incumbent's rank and reads exact lanes only for the first candidate and
-for each one that beats it. The graph memoizes the difference points
-and their mass per concept pair, read off the XOR of the cache's point
-bits, and the chosen query per subclass, and keeps the last integer
-edge table it built for every check of that subclass.
+incumbent's rank, and finds each new incumbent's rank with the same
+test, lane by lane. The graph reads the difference points of a concept
+pair off the XOR of the cache's point bits, memoizes the chosen query
+per subclass, and keeps the last integer edge table it built for every
+check of that subclass.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 
 from .concepts import Concept, ConceptClass
 from .littlestone import LdimCache
@@ -44,10 +46,6 @@ __all__ = [
     "edge_weight",
     "find_deficient_cycle",
 ]
-
-# a subclass's shared row terms: base N and D lane vectors, then one
-# (point bit, dN, dD) per split point
-_Layout = tuple[int, int, list[tuple[int, int, int]]]
 
 
 class QueryGraph:
@@ -66,12 +64,15 @@ class QueryGraph:
         D = sum over p in diff(A, B) of m_p
 
     (L cancels). Two members of a subclass disagree only at points that
-    split it, so one concept's outgoing edges are sums over those points.
-    The graph packs them into one row per concept: two big ints whose
-    lane j, `width` bits wide from bit j * width, holds N and D of the
-    edge to root concept j. Query selection tests a whole row against
-    the incumbent's rank in one lane-wise comparison, and a Fraction is
-    built only when a weight or rank leaves the class.
+    split it, so one concept's outgoing edges are sums over those points,
+    and D does not depend on the subclass. The graph packs them into one
+    row per concept: two big ints whose lane j, `width` bits wide from
+    bit j * width, holds N and D of the edge to root concept j. The D
+    row is built once per concept; the N row is a base per subclass plus
+    one delta per split point where the concept takes the minority
+    label. Query selection tests a whole row against the incumbent's
+    rank in one lane-wise comparison, and a Fraction is built only when
+    a weight or rank leaves the class.
     """
 
     def __init__(self, root: ConceptClass, cache: LdimCache | None = None) -> None:
@@ -85,8 +86,9 @@ class QueryGraph:
         self.mass = [w.numerator * (scale // w.denominator) for w in mu]
         self._ones = [self.cache.level_mask(p, 1) for p in range(len(mu))]
         # Every lane obeys N <= ldim * D and D <= L, an incumbent's (a, b)
-        # too, and no subclass has ldim above floor(log2 |root|): products
-        # N * b and a * D stay below 2**(width - 1), so a lane of
+        # too, lanes outside the subclass included (D of the concepts' full
+        # disagreement), and no subclass has ldim above floor(log2 |root|):
+        # products N * b and a * D stay below 2**(width - 1), so a lane of
         # N * b - a * D + bias lies in [0, 2**width) and never borrows.
         bound = (len(root.concepts).bit_length() - 1) * scale * scale
         self._width = bound.bit_length() + 1
@@ -95,28 +97,25 @@ class QueryGraph:
         self._all = self._spread(self.cache.full_mask)
         # with bias 2**(width - 1) - 1, a lane's top bit is set iff N * b > a * D
         self._bias = (self._lane >> 1) * self._all
-        # per point: lane spread of the concepts labeled 1 there, built
-        # the first time a subclass splits at the point
-        self._lanes: dict[int, int] = {}
-        # per unordered pair: difference points and their integer mass D
-        self._diffs: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
+        # per point: lane spread of the concepts labeled 1 there
+        self._lanes = [self._spread(ones) for ones in self._ones]
+        # per concept: lane j holds D of its edge to concept j, the mass of
+        # the points where they differ, whatever subclass holds both
+        flips = [m * (self._all - 2 * s1) for m, s1 in zip(self.mass, self._lanes)]
+        base = sum(m * s1 for m, s1 in zip(self.mass, self._lanes))
+        self._dens = [base + sum(compress(flips, c.bits)) for c in root.concepts]
         self._best: dict[int, int] = {}
         self._edges: tuple[int, dict[tuple[int, int], tuple[int, int]]] = (-1, {})
 
     def diff_mass(self, i: int, j: int) -> tuple[tuple[int, ...], int]:
         """Points where concepts i and j disagree, ascending, and their
-        integer mass D (order-insensitive, cached)."""
-        key = (i, j) if i < j else (j, i)
-        hit = self._diffs.get(key)
-        if hit is None:
-            bits = self.cache.point_bits
-            rest, points = bits[i] ^ bits[j], []
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                points.append(low.bit_length() - 1)
-            hit = self._diffs[key] = (tuple(points), sum(self.mass[p] for p in points))
-        return hit
+        integer mass D, read off the D row (order-insensitive)."""
+        rest, points = self.cache.point_bits[i] ^ self.cache.point_bits[j], []
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            points.append(low.bit_length() - 1)
+        return tuple(points), self._dens[i] >> j * self._width & self._lane
 
     def diff_points(self, i: int, j: int) -> tuple[int, ...]:
         """Point indices where concepts i and j disagree (order-insensitive)."""
@@ -126,46 +125,46 @@ class QueryGraph:
         """Lane vector holding bit j of `mask` in lane j."""
         return int(self._pad.join(bin(mask)[2:]), 2)
 
-    def _layout(self, mask: int) -> _Layout:
-        """Row parts of the subclass.
+    def _layout(self, mask: int) -> tuple[int, int, dict[int, int]]:
+        """N parts of the rows of the subclass: a base, the points whose
+        majority label is 1, and a delta per split point bit.
 
         A concept labeled v at a split point p reaches the members labeled
-        1 - v there, each edge gaining m_p * drop in N and m_p in D. The
-        rows of concepts labeled 0 at every split point are the returned
-        (N, D) base; each (point bit, dN, dD) after it turns one split
-        point's label to 1.
+        1 - v there, each edge gaining m_p * drop in N. The base is the N
+        row of a member that takes the majority label at every point; a
+        member taking the minority label at split point p adds its delta.
         """
-        cache, lanes, mass = self.cache, self._lanes, self.mass
-        here = cache.ldim_mask(mask)
-        base_n = base_d = 0
-        deltas = []
+        ldim, mass = self.cache.ldim_mask, self.mass
+        here, count = ldim(mask), mask.bit_count()
+        base = majority = 0
+        deltas = {}
         for p, ones in enumerate(self._ones):
             ones &= mask
-            if not ones or ones == mask:
+            size = ones.bit_count()
+            if 2 * size > count:
+                majority |= 1 << p
+            if not size or size == count:
                 continue
-            s1 = lanes.get(p)
-            if s1 is None:
-                s1 = lanes[p] = self._spread(self._ones[p])
-            s0 = self._all - s1
-            m = mass[p]
-            to_ones = m * (here - cache.ldim_mask(ones)) * s1
-            to_zeros = m * (here - cache.ldim_mask(mask ^ ones)) * s0
-            base_n += to_ones
-            base_d += m * s1
-            deltas.append((1 << p, to_zeros - to_ones, m * (s0 - s1)))
-        return base_n, base_d, deltas
+            m, s1 = mass[p], self._lanes[p]
+            # rows of the members labeled 0 at p, then of those labeled 1
+            from0 = m * (here - ldim(ones)) * s1
+            from1 = m * (here - ldim(mask ^ ones)) * (self._all - s1)
+            major, minor = (from1, from0) if 2 * size > count else (from0, from1)
+            base += major
+            deltas[1 << p] = minor - major
+        return base, majority, deltas
 
-    def _row(self, layout: _Layout, i: int) -> tuple[int, int]:
-        """Lane vectors (N, D) of concepts[i]'s edges within the subclass
-        of `layout`. Lanes of concepts outside it hold bounded values no
-        caller reads."""
-        num, den, deltas = layout
-        bits = self.cache.point_bits[i]
-        for bit, dn, dd in deltas:
-            if bits & bit:
-                num += dn
-                den += dd
-        return num, den
+    def _row(self, layout: tuple[int, int, dict[int, int]], i: int) -> tuple[int, int]:
+        """Lane vectors (N, D) of concepts[i]'s edges, for a member of the
+        subclass of `layout`. Lanes of concepts outside it hold bounded
+        values no caller reads."""
+        num, majority, deltas = layout
+        minority = self.cache.point_bits[i] ^ majority
+        while minority:
+            low = minority & -minority
+            minority ^= low
+            num += deltas[low]
+        return num, self._dens[i]
 
     def _lightest(self, i: int, targets: int, row: tuple[int, int]) -> tuple[int, int]:
         """Lightest edge from concepts[i] to a concept in `targets`, as
@@ -225,18 +224,23 @@ class QueryGraph:
     def best_query(self, mask: int) -> int:
         """Index of the max-min query in the subclass, lowest index on ties.
 
-        The first member's rank is read exactly and becomes the incumbent
-        a/b. Each later row is tested in one go: it beats the incumbent
-        iff every other member's lane of N * b - a * D + bias has its top
-        bit set. Only a row that passes is read exactly, to become the
-        new incumbent, so ties keep the lower index.
+        A row beats the incumbent rank a/b iff every other member's lane
+        of N * b - a * D + bias has its top bit set. The first member, and
+        each later one whose row beats the incumbent, becomes the
+        incumbent, so ties keep the lower index; its rank is found lane by
+        lane, from the first other member's lane down to the lowest lane
+        strictly below the current one (top bit of a * D - N * b + bias),
+        until no lane is lighter. Two distinct concepts weigh 1 both ways,
+        so a subclass of one or two concepts takes its lowest index.
         """
         if mask == 0:
             raise ValueError("no query exists for the empty class")
+        if mask.bit_count() < 3:
+            return (mask & -mask).bit_length() - 1
         hit = self._best.get(mask)
         if hit is not None:
             return hit
-        layout, width = self._layout(mask), self._width
+        layout, width, lane = self._layout(mask), self._width, self._lane
         tops = self._spread(mask) << (width - 1)
         bias = self._bias
         best_i = a = b = -1
@@ -245,13 +249,17 @@ class QueryGraph:
             low = todo & -todo
             todo ^= low
             i = low.bit_length() - 1
-            nums, dens = row = self._row(layout, i)
-            if best_i >= 0:
-                need = tops ^ (1 << (i * width + width - 1))
-                if (nums * b - a * dens + bias) & need != need:
-                    continue
+            nums, dens = self._row(layout, i)
+            others = tops ^ (1 << (i * width + width - 1))
+            if best_i >= 0 and (nums * b - a * dens + bias) & others != others:
+                continue
             best_i = i
-            a, b = self._lightest(i, mask, row)
+            below = others & -others
+            while below:
+                shift = below.bit_length() - width
+                a, b = nums >> shift & lane, dens >> shift & lane
+                below = (a * dens - nums * b + bias) & others
+                below &= -below
         self._best[mask] = best_i
         return best_i
 

@@ -1,0 +1,214 @@
+"""Differential tests of the max-min kernel against the plain oracles.
+
+The classes are seeded random classes with mixed-denominator weights,
+plus one-hot unions and near-singletons, whose dimension sits below the
+floor(log2 |C|) cap so that failing decisions run. Every mask that the
+exact DP and the keep tables ask the dimension of is checked against
+`ref_ldim`, and every subclass the learner reaches against `ref_max_min`,
+`ref_rank` and `ref_edge_weight`.
+"""
+
+import functools
+import random
+from fractions import Fraction
+
+import pytest
+
+import helpers
+from helpers import mk_class, one_hot, recursion_headroom
+from thicket import LdimCache, QueryGraph, exact_expected_queries, ldim
+
+
+@pytest.fixture
+def oracle(monkeypatch):
+    """`helpers.ref_ldim`, memoized per pattern tuple; the other oracles
+    call it through the module, so they share the memo."""
+    plain = helpers.ref_ldim
+    table = functools.cache(lambda patterns: plain(list(patterns)))
+    monkeypatch.setattr(helpers, "ref_ldim", lambda patterns: table(tuple(patterns)))
+    return helpers
+
+
+def _bits(patterns):
+    return ["".join(map(str, c)) for c in patterns]
+
+
+def random_case(k):
+    """6-9 points, up to 40 concepts, weights over mixed denominators."""
+    rng = random.Random(f"kernel {k}")
+    n = rng.randint(6, 9)
+    patterns = [
+        tuple(v >> p & 1 for p in range(n))
+        for v in rng.sample(range(2**n), rng.randint(8, 40))
+    ]
+    raw = [Fraction(rng.randint(1, 9), rng.choice((2, 3, 5, 7))) for _ in range(n)]
+    mu = [w / sum(raw) for w in raw]
+    return patterns, mu
+
+
+def below_cap_cases():
+    """Classes whose dimension is below floor(log2 |C|)."""
+    hot = [c.bits for c in one_hot(8).concepts]
+    # the one-hot concepts and their complements
+    union = hot + [tuple(1 - b for b in c) for c in hot]
+    # every concept with at most one 1, and a few with two
+    near = hot + [(0,) * 8] + [tuple(int(p in (q, q + 1)) for p in range(8)) for q in (0, 3, 5)]
+    mu = [Fraction(p + 1, 36) for p in range(8)]
+    return [(hot, mu), (union, mu), (near, [Fraction(1, 8)] * 8)]
+
+
+CASES = [random_case(k) for k in range(8)] + below_cap_cases()
+
+
+def _members(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _reached(patterns, mu, targets):
+    """Cache, graph, the subclasses the exact DP expands for each target,
+    and the masks the DP and the keep tables ask ldim of."""
+    cc = mk_class(_bits(patterns), mu=mu)
+    cache = LdimCache(cc)
+    graph = QueryGraph(cc, cache)
+    asked, expanded = set(), set()
+    real_ldim, real_best = cache.ldim_mask, graph.best_query
+
+    def ldim_mask(mask):
+        asked.add(mask)
+        return real_ldim(mask)
+
+    def best_query(mask):
+        expanded.add(mask)
+        return real_best(mask)
+
+    cache.ldim_mask, graph.best_query = ldim_mask, best_query
+    for t in targets:
+        exact_expected_queries(cc, cc.concepts[t], graph)
+    for mask in sorted(expanded):
+        cache.keeps(mask)
+    del cache.ldim_mask, graph.best_query
+    return cache, graph, expanded, asked
+
+
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_dimension_matches_plain_recursion_where_dp_and_keeps_ask(oracle, case):
+    patterns, mu = CASES[case]
+    cache, _, expanded, asked = _reached(patterns, mu, (0, len(patterns) - 1))
+    assert len(expanded) > 1
+    for mask in asked:
+        sub = [patterns[i] for i in _members(mask)]
+        assert cache.ldim_mask(mask) == oracle.ref_ldim(sub), (case, mask)
+    # and every decision proven on the way, lo <= ldim < hi
+    assert cache._proven
+    for mask, (lo, hi) in cache._proven.items():
+        assert lo <= oracle.ref_ldim([patterns[i] for i in _members(mask)]) < hi, (case, mask)
+
+
+def test_failing_decisions_run_on_classes_below_the_cap(oracle):
+    refuted = []
+    for patterns, mu in below_cap_cases():
+        cc = mk_class(_bits(patterns), mu=mu)
+        cache = LdimCache(cc)
+        real = cache._at_least
+
+        def at_least(mask, k):
+            answer = real(mask, k)
+            if not answer:
+                refuted.append(k)
+            return answer
+
+        cache._at_least = at_least
+        assert ldim(cc, cache) == oracle.ref_ldim(patterns)
+        assert ldim(cc, cache) < len(patterns).bit_length() - 1
+    assert 3 in refuted and 2 in refuted
+
+
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_max_min_query_rank_and_weight_match_oracles_where_the_learner_goes(oracle, case):
+    patterns, mu = CASES[case]
+    _, graph, expanded, _ = _reached(patterns, mu, (0,))
+    for mask in expanded:
+        members = _members(mask)
+        sub = [patterns[i] for i in members]
+        assert graph.best_query(mask) == members[oracle.ref_max_min(sub, mu)], (case, mask)
+        for a, i in enumerate(members):
+            assert graph.rank(mask, i) == oracle.ref_rank(sub, mu, a), (case, mask, i)
+        # the edges of the query and of the first member, both ways
+        for a in {members.index(graph.best_query(mask)), 0}:
+            for b in range(len(members)):
+                if a != b:
+                    for x, y in ((a, b), (b, a)):
+                        expect = oracle.ref_edge_weight(sub, mu, x, y)
+                        assert graph.weight(mask, members[x], members[y]) == expect
+
+
+def test_rank_with_a_minimum_tied_across_lanes_of_different_terms(oracle):
+    # concept 0 weighs 1/2 against concepts 2 and 5, as the integer terms
+    # 3/6 and 2/4; its first other lane (concept 1) weighs 1
+    bits = ["11011", "10111", "11110", "11010", "01110", "11101"]
+    mu = [Fraction(1, 11), Fraction(3, 11), Fraction(3, 11), Fraction(1, 11), Fraction(3, 11)]
+    cc = mk_class(bits, mu=mu)
+    graph = QueryGraph(cc)
+    mask = graph.cache.full_mask
+    patterns = [c.bits for c in cc.concepts]
+    edges = graph.edges(mask)
+    assert edges[0, 1] == (6, 6)
+    assert edges[0, 2] == (3, 6) and edges[0, 5] == (2, 4)
+    assert graph.rank(mask, 0) == oracle.ref_rank(patterns, mu, 0) == Fraction(1, 2)
+    for i in range(len(bits)):
+        assert graph.rank(mask, i) == oracle.ref_rank(patterns, mu, i)
+    assert graph.best_query(mask) == oracle.ref_max_min(patterns, mu) == 2
+
+
+def block_class(blocks):
+    """Disjoint blocks of 4 concepts on 3 points: an indicator point, on
+    in the block's concepts only, and two points they shatter."""
+    rows = []
+    for b in range(blocks):
+        for u in (0, 1):
+            for v in (0, 1):
+                row = [0] * (3 * blocks)
+                row[3 * b : 3 * b + 3] = (1, u, v)
+                rows.append(row)
+    return mk_class(_bits(rows))
+
+
+def _decision_depth(cache):
+    """Wrap the cache's decisions; returns the list whose last item is
+    the deepest nesting seen."""
+    real, depth, deepest = cache._at_least, [0], [0]
+
+    def at_least(mask, k):
+        depth[0] += 1
+        deepest[0] = max(deepest[0], depth[0])
+        try:
+            return real(mask, k)
+        finally:
+            depth[0] -= 1
+
+    cache._at_least = at_least
+    return deepest
+
+
+def test_block_class_solves_within_fixed_headroom():
+    # 80 blocks: 240 points and 320 concepts, inside the CLI's point cap
+    cc = block_class(80)
+    cache = LdimCache(cc)
+    deepest = _decision_depth(cache)
+    with recursion_headroom(15):
+        assert ldim(cc, cache) == 3
+        keep0, keep1 = cache.keeps(cache.full_mask)
+    # label 0 leaves every other block, and so the dimension, in place;
+    # label 1 leaves at most one block, of dimension 2
+    assert keep1 == 0 and keep0 == (1 << 240) - 1
+    assert deepest[0] <= len(cc).bit_length() - 1
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_decision_depth_stays_within_log2_of_the_class(n):
+    # the full cube on n points has dimension n = log2 |C|, the deepest case
+    cube = mk_class([format(v, f"0{n}b") for v in range(2**n)])
+    cache = LdimCache(cube)
+    deepest = _decision_depth(cache)
+    assert ldim(cube, cache) == n
+    assert 0 < deepest[0] <= n - 1
