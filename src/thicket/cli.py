@@ -27,6 +27,7 @@ from typing import Any, Callable
 
 from . import __version__
 from .concepts import (
+    MAX_CLASS_POINTS,
     ClassValidationError,
     ConceptClass,
     load_class,
@@ -54,9 +55,6 @@ __all__ = ["main"]
 # sample size they check; refuse more subsets than a full 16-point domain has
 MAX_REPLAY_SUBSETS = 2**16
 MAX_REPLAY_POINTS = MAX_REPLAY_SUBSETS.bit_length() - 1
-# every dimension decision scans each point of the class, so this cap
-# bounds the cost of a class file; the recursion depth does not grow with it
-MAX_CLASS_POINTS = 256
 
 
 class UsageError(Exception):
@@ -259,11 +257,7 @@ def _class_document(cc: ConceptClass) -> str:
 def _drop_sums(cache: LdimCache, mask: int) -> list[int]:
     """Per point p, drop(C, ., p) at label 0 plus at label 1: a pair split
     at p takes both labels there, so this is the drop sum of every such pair."""
-    d = cache.ldim_mask(mask)
-    return [
-        sum(d - cache.ldim_mask(cache.restrict_mask(mask, p, v)) for v in (0, 1))
-        for p in range(len(cache.root.domain))
-    ]
+    return [drop0 + drop1 for drop0, drop1 in cache.drops(mask)]
 
 
 def _verify_one(cc: ConceptClass, max_cycle_len: int) -> list[dict[str, Any]]:

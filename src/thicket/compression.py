@@ -69,7 +69,7 @@ Decoder = Callable[[tuple[int, ...]], int]
 
 
 def _realizers(cache: LdimCache, mask: int, points: Sequence[int], key: int) -> int:
-    """The concepts of `mask` agreeing with label bits `key` on `points`."""
+    """The concepts of `mask` agreeing with label bits `key` on `points`; key -1 is all ones."""
     for p in points:
         mask &= cache.level_mask(p, key >> p & 1)
     return mask
@@ -146,26 +146,18 @@ def _index_decoders(cache: LdimCache, mask: int) -> tuple[Decoder, ...]:
     fallback answer.
     """
     d = cache.ldim_mask(mask)
-    level = cache.level_mask
     bits = cache.point_bits
     default = bits[(mask & -mask).bit_length() - 1]
-    # the class's canonical labeling is the label keeping d at each point
-    stable, stable_ones = cache.canonical_mask(mask)
 
     def canon(sub: int) -> int:
         """Canonical partial labeling of the subclass, extended by 0."""
         return cache.keeps(sub)[1] if sub else default
 
-    def restrict_all(points: Sequence[int], label: int, sub: int) -> int:
-        for p in points:
-            sub &= level(p, label)
-        return sub
-
     def make_rho(i: int) -> Decoder:
         def rho(points: tuple[int, ...]) -> int:
             distinct = len(set(points))
             if distinct == d and d != 1:
-                sub = restrict_all(points[i:], 0, restrict_all(points[:i], 1, mask))
+                sub = _realizers(cache, _realizers(cache, mask, points[:i], -1), points[i:], 0)
                 return bits[(sub & -sub).bit_length() - 1] if sub else default
             # split (ones..., marker, zeros..., pads...) back into blocks; an
             # all-equal tuple reads as one pinned point unless it repeats
@@ -173,14 +165,13 @@ def _index_decoders(cache: LdimCache, mask: int) -> tuple[Decoder, ...]:
             marks = [k for k, p in enumerate(points) if p == points[0]] + [d, d]
             if i > 1 or marks[1] == d and distinct > 1:
                 return default
-            head = points[0]
-            if distinct == 1 and stable >> head & 1 and (stable_ones >> head & 1) == i:
+            if distinct == 1 and cache.keeps(mask)[i] >> points[0] & 1:
                 return canon(mask)
             ones, zeros = points[: marks[1]], points[marks[1] + 1 : marks[2]]
             if i == 1:
-                return canon(restrict_all(zeros, 0, restrict_all(ones, 1, mask)))
+                return canon(_realizers(cache, _realizers(cache, mask, ones, -1), zeros, 0))
             # rho_0 reads the whole pre-duplicate block as negative
-            return canon(restrict_all(ones, 0, mask))
+            return canon(_realizers(cache, mask, ones, 0))
 
         return rho
 

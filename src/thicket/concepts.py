@@ -45,6 +45,9 @@ __all__ = [
 # A partial assignment maps point names to labels in {0, 1}.
 PartialAssignment = Mapping[str, int]
 
+# cap on the points of a class file or an atomized staged prefix, to bound cost
+MAX_CLASS_POINTS = 256
+
 
 class ClassValidationError(ValueError):
     """An invariant of a domain, concept, or concept class is violated."""

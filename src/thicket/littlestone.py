@@ -26,16 +26,19 @@ restrictions of that root: the query graph, the learner's expectation
 recursion, and the compression scheme all share one :class:`LdimCache`,
 and read each root concept's labels from it as one point-bits int.
 
-For a nonempty subclass the cache also keeps one keep table, memoized
-per mask: the point bitmasks ``(keep0, keep1)`` where restricting to
-label 0 (resp. 1) keeps the dimension. A labeled sample with points
-``subset`` and label bits ``key`` then drops the dimension exactly at
+Each subclass has one drop table (`LdimCache.drops`): per point, the
+dimension lost by restricting to label 0 and to label 1 there, an empty
+side losing ldim + 1. The query graph prices its edges by it and
+`verify` sums it per point. Its zeros form the keep table, memoized per
+mask as point bitmasks ``(keep0, keep1)``: a labeled sample with points
+``subset`` and label bits ``key`` drops the dimension exactly at
 ``subset & ~(keep1 & key | keep0 & ~key)``, which is how exceptional
-samples, canonical partial labelings and the compression greedy are
-read.
+samples, canonical partial labelings and the compression greedy are read.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .concepts import Concept, ConceptClass, PartialAssignment
 
@@ -89,9 +92,23 @@ class LdimCache:
     def restrict_mask(self, mask: int, point_index: int, value: int) -> int:
         return mask & self._level_masks[point_index][value]
 
+    def drops(self, mask: int) -> Iterator[tuple[int, int]]:
+        """The drop table of the subclass: per point, in order, ``(drop0,
+        drop1)``, the dimension it loses when restricted to label 0 (resp. 1)
+        there; an empty side loses ldim + 1."""
+        ldim = self.ldim_mask
+        d = ldim(mask)
+        for zeros, _ in self._level_masks:
+            zeros &= mask
+            if zeros and zeros != mask:
+                yield d - ldim(zeros), d - ldim(mask ^ zeros)
+            else:
+                # no split, no lookup: one side is the subclass, one is empty
+                yield (0, d + 1) if zeros else (d + 1, 0)
+
     def keeps(self, mask: int) -> tuple[int, int]:
         """Point bitmasks ``(keep0, keep1)`` of a nonempty subclass: the
-        points where restricting it to label 0 (resp. 1) keeps its dimension.
+        points where restricting it to label 0 (resp. 1) drops nothing.
 
         At most one label keeps the dimension at a point, so the two masks
         are disjoint. Memoized per mask.
@@ -99,21 +116,14 @@ class LdimCache:
         hit = self._keeps.get(mask)
         if hit is not None:
             return hit
-        d = self.ldim_mask(mask)
         keep0 = keep1 = 0
-        for p, (zeros_at, ones_at) in enumerate(self._level_masks):
-            zeros = mask & zeros_at
-            if zeros == mask or not zeros:
-                # no split: the label every concept carries keeps the dimension
-                keep0 |= (zeros == mask) << p
-                keep1 |= (not zeros) << p
-                continue
-            keeps0 = self.ldim_mask(zeros) == d
-            keeps1 = self.ldim_mask(mask & ones_at) == d
-            if keeps0 and keeps1:
-                raise AssertionError("both labels keep the dimension; ldim is inconsistent")
-            keep0 |= keeps0 << p
-            keep1 |= keeps1 << p
+        for p, (drop0, drop1) in enumerate(self.drops(mask)):
+            if not drop0:
+                if not drop1:
+                    raise AssertionError("both labels keep the dimension; ldim is inconsistent")
+                keep0 |= 1 << p
+            elif not drop1:
+                keep1 |= 1 << p
         self._keeps[mask] = hit = keep0, keep1
         return hit
 
@@ -201,9 +211,7 @@ def drop(
     and at most ldim(C) + 1 (the restriction can be empty).
     """
     cache, mask = _cache_for(concept_class, cache)
-    p = concept_class.domain.index(point)
-    sub = cache.restrict_mask(mask, p, concept.value(point))
-    return cache.ldim_mask(mask) - cache.ldim_mask(sub)
+    return list(cache.drops(mask))[concept_class.domain.index(point)][concept.value(point)]
 
 
 def is_exceptional(

@@ -84,7 +84,6 @@ class QueryGraph:
         scale = math.lcm(*(w.denominator for w in mu))
         #: integer point masses m_p = mu(p) * L, shared with the learner's draws
         self.mass = [w.numerator * (scale // w.denominator) for w in mu]
-        self._ones = [self.cache.level_mask(p, 1) for p in range(len(mu))]
         # Every lane obeys N <= ldim * D and D <= L, an incumbent's (a, b)
         # too, lanes outside the subclass included (D of the concepts' full
         # disagreement), and no subclass has ldim above floor(log2 |root|):
@@ -97,12 +96,16 @@ class QueryGraph:
         self._all = self._spread(self.cache.full_mask)
         # with bias 2**(width - 1) - 1, a lane's top bit is set iff N * b > a * D
         self._bias = (self._lane >> 1) * self._all
-        # per point: lane spread of the concepts labeled 1 there
-        self._lanes = [self._spread(ones) for ones in self._ones]
+        # per point: its bit, the concepts labeled 1 there, its mass, and the
+        # lane spreads of the concepts labeled 0 and 1 there
+        self._points = []
+        for p, m in enumerate(self.mass):
+            s1 = self._spread(ones := self.cache.level_mask(p, 1))
+            self._points.append((1 << p, ones, m, self._all - s1, s1))
         # per concept: lane j holds D of its edge to concept j, the mass of
         # the points where they differ, whatever subclass holds both
-        flips = [m * (self._all - 2 * s1) for m, s1 in zip(self.mass, self._lanes)]
-        base = sum(m * s1 for m, s1 in zip(self.mass, self._lanes))
+        flips = [m * (s0 - s1) for _, _, m, s0, s1 in self._points]
+        base = sum(m * s1 for _, _, m, _, s1 in self._points)
         self._dens = [base + sum(compress(flips, c.bits)) for c in root.concepts]
         self._best: dict[int, int] = {}
         self._edges: tuple[int, dict[tuple[int, int], tuple[int, int]]] = (-1, {})
@@ -130,28 +133,25 @@ class QueryGraph:
         majority label is 1, and a delta per split point bit.
 
         A concept labeled v at a split point p reaches the members labeled
-        1 - v there, each edge gaining m_p * drop in N. The base is the N
-        row of a member that takes the majority label at every point; a
-        member taking the minority label at split point p adds its delta.
+        1 - v there, each edge gaining m_p times the drop of label 1 - v in
+        the cache's drop table. The base is the N row of a member that takes
+        the majority label at every point; a member taking the minority
+        label at split point p adds its delta.
         """
-        ldim, mass = self.cache.ldim_mask, self.mass
-        here, count = ldim(mask), mask.bit_count()
+        count = mask.bit_count()
         base = majority = 0
         deltas = {}
-        for p, ones in enumerate(self._ones):
-            ones &= mask
-            size = ones.bit_count()
+        for (bit, ones, m, s0, s1), (drop0, drop1) in zip(self._points, self.cache.drops(mask)):
+            size = (ones & mask).bit_count()
             if 2 * size > count:
-                majority |= 1 << p
+                majority |= bit
             if not size or size == count:
                 continue
-            m, s1 = mass[p], self._lanes[p]
             # rows of the members labeled 0 at p, then of those labeled 1
-            from0 = m * (here - ldim(ones)) * s1
-            from1 = m * (here - ldim(mask ^ ones)) * (self._all - s1)
+            from0, from1 = m * drop1 * s1, m * drop0 * s0
             major, minor = (from1, from0) if 2 * size > count else (from0, from1)
             base += major
-            deltas[1 << p] = minor - major
+            deltas[bit] = minor - major
         return base, majority, deltas
 
     def _row(self, layout: tuple[int, int, dict[int, int]], i: int) -> tuple[int, int]:

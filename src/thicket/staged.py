@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
 
-from .concepts import Concept, ConceptClass, Domain
+from .concepts import MAX_CLASS_POINTS, ClassValidationError, Concept, ConceptClass, Domain
 from .learner import (
     QuerySummary,
     TeacherResponse,
@@ -243,8 +243,6 @@ class IntervalFamily(CountableFamily):
         if not 0 < ratio < 1:
             raise ValueError("prior ratio must lie strictly between 0 and 1")
         self.ratio = ratio
-        self.ldim_bound = 1
-        self.size = None
 
     def describe(self) -> str:
         return f"intervals(ratio={self.ratio})"
@@ -273,6 +271,11 @@ class IntervalFamily(CountableFamily):
     def atomize(self, indices: list[int]) -> AtomizedPrefix:
         if len(set(indices)) != len(indices):
             raise ValueError("duplicate enumeration indices")
+        if len(indices) >= MAX_CLASS_POINTS:
+            raise ClassValidationError(
+                f"a prefix of {len(indices)} intervals atomizes to {len(indices) + 1} points;"
+                f" at most {MAX_CLASS_POINTS} are supported"
+            )
         names = [f"i{i + 1}" for i in indices]
         lengths = [self.length(i) for i in indices]
         rest = 1 - sum(lengths, Fraction(0))

@@ -12,13 +12,21 @@ from pathlib import Path
 
 import pytest
 
-from thicket import ConceptClass, Domain, __version__, load_class
+from thicket import ConceptClass, Domain, LdimCache, __version__, load_class
 from thicket import QueryGraph, cli, compression
 from thicket.cli import main
 from thicket.generate import random_class, random_classes
 from thicket.learner import derive_seed
 
-from helpers import c3, mk_class, powerset3, ref_sample_count, write_class_file
+from helpers import (
+    all_three_point_classes,
+    c3,
+    mk_class,
+    powerset3,
+    ref_ldim,
+    ref_sample_count,
+    write_class_file,
+)
 
 
 @pytest.fixture()
@@ -198,6 +206,36 @@ def test_staged_intervals_report(capsys):
     assert doc["command"] == "staged"
     assert doc["summary"]["identified"] == 20
     assert doc["summary"]["class"] == "intervals(ratio=1/2)"
+
+
+def test_staged_prefix_past_the_point_cap_exits_3():
+    # stage 1 at ratio 1/500 needs 693 intervals, whose atomization
+    # would have 694 points; the run stops before it atomizes any
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "thicket.cli", "staged", "--prior-geometric", "1/500",
+         "--trials", "5"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 3
+    assert not proc.stdout
+    assert "693 intervals atomizes to 694 points; at most 256" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "ratio, digest",
+    [
+        ("1/2", "b75789142b0709f646bcbc6c5e72486804ab9bd3a54d57f746294b8dfe77d52d"),
+        ("1/20", "4412f2763f20425c4a930ceed4a07e1a6a148565028877c578dcd36e9cf67b8c"),
+    ],
+)
+def test_staged_reports_within_the_point_cap_are_unchanged(capsys, ratio, digest):
+    argv = ["staged", "--prior-geometric", ratio, "--trials", "200", "--seed", "3"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_staged_file_family(capsys, tmp_path):
@@ -480,6 +518,25 @@ def test_verify_reports_failed_drop_sums(capsys, c3_file, monkeypatch):
         ("drop_sums", "drops at x2 for A,B sum below 1"),
         ("drop_sums", "drops at x2 for A,C sum below 1"),
     ]
+
+
+def test_drop_sums_are_the_plain_per_point_sums():
+    def plain_sums(patterns):
+        d = ref_ldim(patterns)
+        return [
+            sum(d - ref_ldim([c for c in patterns if c[p] == v]) for v in (0, 1))
+            for p in range(len(patterns[0]))
+        ]
+
+    drawn = [random_class(random.Random(f"drop sums {k}"), 7, 16, 6, 10) for k in range(4)]
+    for cc in [*all_three_point_classes(), *drawn]:
+        cache = LdimCache(cc)
+        patterns = [c.bits for c in cc.concepts]
+        assert cli._drop_sums(cache, cache.full_mask) == plain_sums(patterns)
+    # a point no concept splits reads ldim + 1: one side keeps the class,
+    # the other is empty
+    cc = mk_class(["100", "010", "110"])
+    assert cli._drop_sums(LdimCache(cc), 0b111) == [1, 1, 2]
 
 
 def test_verify_builds_one_edge_table_per_class(monkeypatch):

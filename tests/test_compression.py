@@ -1,7 +1,7 @@
 import functools
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -439,3 +439,52 @@ def test_certify_on_a_larger_cache_root_replays_only_the_class():
     sub = ConceptClass(big.domain, big.concepts[::3])
     assert cache.mask_of(sub) != cache.full_mask
     assert certify_scheme(sub, cache=cache) == certify_scheme(sub)
+
+
+def ref_decode(patterns, i, tup, dim):
+    """rho_i on a tuple of point indices, read as the module docstring
+    describes it with plain pattern filters; returns the label tuple."""
+    n, d, default = len(patterns[0]), dim(patterns), patterns[0]
+
+    def pinned(ones, zeros):
+        return tuple(
+            c for c in patterns if all(c[p] == 1 for p in ones) and all(c[p] == 0 for p in zeros)
+        )
+
+    def canon(sub):
+        # the label 1 where it keeps the dimension, 0 elsewhere
+        if not sub:
+            return default
+        e = dim(sub)
+        return tuple(int(dim(tuple(c for c in sub if c[p] == 1)) == e) for p in range(n))
+
+    distinct = len(set(tup))
+    if distinct == d and d != 1:
+        sub = pinned(tup[:i], tup[i:])
+        return sub[0] if sub else default
+    marks = [k for k, p in enumerate(tup) if p == tup[0]] + [d, d]
+    if i > 1 or marks[1] == d and distinct > 1:
+        return default
+    kept = [dim(tuple(c for c in patterns if c[tup[0]] == v)) == d for v in (0, 1)]
+    if distinct == 1 and kept[i]:
+        return canon(patterns)
+    ones, zeros = tup[: marks[1]], tup[marks[1] + 1 : marks[2]]
+    return canon(pinned(ones, zeros)) if i == 1 else canon(pinned((), ones))
+
+
+def test_decoders_match_plain_restrictions_on_every_tuple():
+    dim = functools.cache(ref_ldim)
+    drawn = [random_class(random.Random(f"decode {k}"), 5, 20, 4, 12) for k in range(3)]
+    cube = mk_class([format(v, "04b") for v in range(16)])
+    for cc in [*all_three_point_classes(), cube, *drawn]:
+        cache = LdimCache(cc)
+        patterns = tuple(c.bits for c in cc.concepts)
+        decoders = compression._index_decoders(cache, cache.full_mask)
+        for tup in product(range(len(cc.domain)), repeat=len(decoders) - 1):
+            for i, rho in enumerate(decoders):
+                bits = rho(tup)
+                labels = tuple(bits >> p & 1 for p in range(len(cc.domain)))
+                assert labels == ref_decode(patterns, i, tup, dim), (cc.concepts, i, tup)
+    # (x1, x2, x1, x2) on the cube repeats x2 in both blocks: it is pinned
+    # positive, then negative, so rho_1 falls back to the lowest concept
+    assert compression._index_decoders(LdimCache(cube), 0xFFFF)[1]((0, 1, 0, 1)) == 0

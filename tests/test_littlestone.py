@@ -239,6 +239,55 @@ def test_keeps_matches_plain_recursion_where_the_greedy_goes():
             check_keeps(cache, patterns, mask, dim)
 
 
+def check_drops(cache, patterns, mask, dim):
+    """`drops(mask)` against the plain recursion `dim`: per point, what each
+    labeled restriction loses, an empty side losing ldim + 1."""
+    sub = tuple(c for i, c in enumerate(patterns) if mask >> i & 1)
+    d = dim(sub)
+    assert list(cache.drops(mask)) == [
+        tuple(d - dim(tuple(c for c in sub if c[p] == v)) for v in (0, 1))
+        for p in range(len(patterns[0]))
+    ]
+
+
+def test_drops_match_plain_recursion_on_three_points():
+    dim = functools.cache(ref_ldim)
+    for cc in all_three_point_classes():
+        cache = LdimCache(cc)
+        patterns = [c.bits for c in cc.concepts]
+        for mask in range(cache.full_mask + 1):
+            check_drops(cache, patterns, mask, dim)
+    # the empty subclass loses nothing: both of its sides are empty too
+    assert list(LdimCache(c3()).drops(0)) == [(0, 0), (0, 0)]
+
+
+def test_drops_match_plain_recursion_where_the_greedy_goes():
+    drawn = [random_class(random.Random(f"keeps {k}"), 7, 14, 7, 10) for k in range(4)]
+    # the same classes with an eighth point that no concept splits
+    one_sided = [
+        mk_class([c.bitstring() + str(k % 2) for c in cc.concepts]) for k, cc in enumerate(drawn)
+    ]
+    for k, cc in enumerate(drawn + one_sided):
+        cache = LdimCache(cc)
+        real, reached = cache.keeps, set()
+
+        def keeps(mask):
+            reached.add(mask)
+            return real(mask)
+
+        cache.keeps = keeps
+        assert certify_scheme(cc, cache=cache).ok
+        dim = functools.cache(ref_ldim)
+        patterns = [c.bits for c in cc.concepts]
+        for mask in reached:
+            check_drops(cache, patterns, mask, dim)
+        if k >= len(drawn):
+            # every concept reads k % 2 at the eighth point: the other label
+            # empties the class, which loses ldim + 1
+            lost = ldim(cc) + 1
+            assert list(cache.drops(cache.full_mask))[7] == ((lost, 0) if k % 2 else (0, lost))
+
+
 def test_is_exceptional_matches_every_labeled_restriction():
     dim = functools.cache(ref_ldim)
     for cc in all_three_point_classes():

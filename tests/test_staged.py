@@ -5,6 +5,7 @@ from itertools import islice
 import pytest
 
 from thicket import (
+    ClassValidationError,
     FiniteFamily,
     IntervalFamily,
     PriorExhaustedError,
@@ -376,6 +377,18 @@ def test_interval_summaries_pinned(ratio, seed, identified, mean, variance, most
     assert (s.identified, s.mean, s.variance, s.max_queries) == (
         identified, Fraction(mean), Fraction(variance), most,
     )
+
+
+def test_interval_prefix_past_the_point_cap_raises_before_atomizing():
+    # stage 1 at ratio 1/500 needs 693 intervals: 694 atoms
+    fam = IntervalFamily(Fraction(1, 500))
+    with pytest.raises(ClassValidationError, match="693 intervals atomizes to 694 points"):
+        run_staged_learner(fam, 0, random.Random(0))
+    assert not fam._graphs
+    # 255 intervals and the rest atom are the largest prefix within the cap
+    assert len(fam.atomize(list(range(255))).cls.domain) == 256
+    with pytest.raises(ClassValidationError, match="at most 256 are supported"):
+        fam.atomize(list(range(256)))
 
 
 def test_interval_prefixes_atomized_once_each():
