@@ -55,6 +55,9 @@ __all__ = ["main"]
 # sample size they check; refuse more subsets than a full 16-point domain has
 MAX_REPLAY_SUBSETS = 2**16
 MAX_REPLAY_POINTS = MAX_REPLAY_SUBSETS.bit_length() - 1
+# gen draws distinct concepts with random.sample from range(2**points),
+# whose length must fit in a C ssize_t: 62 points on a 64-bit build
+MAX_GEN_POINTS = sys.maxsize.bit_length() - 1
 
 
 class UsageError(Exception):
@@ -426,7 +429,7 @@ COMMANDS: tuple[tuple[str, str, Callable[[argparse.Namespace], int], dict[str, A
         "--max-cycle-len": {"type": _int_at_least(2), "default": 5}, "--seed": _SEED}),
     ("gen", "emit a seeded random class file", cmd_gen, {
         "--seed": {"type": int, "required": True},
-        "--points": {"type": _POSITIVE, "required": True},
+        "--points": {"type": _int_at_least(1, MAX_GEN_POINTS), "required": True},
         "--concepts": {"type": _POSITIVE, "required": True}}),
 )
 

@@ -19,9 +19,9 @@ the query, its difference points with the target, their thresholds
 acc * 2**64 and the subclass each counterexample leaves; a draw is one
 bisection of r * D into the thresholds. A Monte Carlo trial walks the
 table and counts queries, building no object, and every trial of a
-call shares the table. Exact expected query counts come from a separate
-dynamic program over the reachable subclasses, not from simulation; it
-walks them on an explicit stack, so no recursion depth grows with the
+call shares the table. Exact expected query counts come from a dynamic
+program over the same table, not from simulation; it walks the reachable
+subclasses on an explicit stack, so no recursion depth grows with the
 class.
 """
 
@@ -192,6 +192,18 @@ class _Transitions(dict[int, "_Step | None"]):
         return step
 
 
+def _start(
+    concept_class: ConceptClass, target: Concept, graph: QueryGraph | None
+) -> tuple[_Transitions, int]:
+    """The transition table of `target`, which must be a member of the
+    class, on `graph` (a new graph of the class when None), and the
+    class's mask."""
+    if graph is None:
+        graph = QueryGraph(concept_class)
+    concept_class.index_of(target)  # membership check
+    return _Transitions(graph, graph.root.index_of(target)), graph.cache.mask_of(concept_class)
+
+
 def run_thicket_learner(
     concept_class: ConceptClass,
     target: Concept,
@@ -204,13 +216,8 @@ def run_thicket_learner(
     restriction, the class shrinks by at least the queried concept per
     counterexample, and the run halts with probability 1.
     """
-    if graph is None:
-        graph = QueryGraph(concept_class)
-    concept_class.index_of(target)  # membership check
-    mask = graph.cache.mask_of(concept_class)
-    root = graph.root
-    t = root.index_of(target)
-    table = _Transitions(graph, t)
+    table, mask = _start(concept_class, target, graph)
+    root, t = table.graph.root, table.t
     points, bits = root.domain.points, target.bits
     entries: list[tuple[Concept, TeacherResponse]] = []
     while True:
@@ -241,44 +248,38 @@ def exact_expected_queries(
     drops the dimension by at least 1/2 in expectation, and one more
     query confirms.
     """
-    if graph is None:
-        graph = QueryGraph(concept_class)
-    cache = graph.cache
-    t = graph.root.index_of(target)
-    start = cache.mask_of(concept_class)
-    if not (start >> t) & 1:
-        raise ValueError("target is not a member of the class")
-    mass, target_bits = graph.mass, target.bits
-    memo: dict[int, Fraction] = {}
+    table, start = _start(concept_class, target, graph)
+    mass = table.graph.mass
+    # E(mask) as a reduced (numerator, denominator) pair of ints
+    memo: dict[int, tuple[int, int]] = {}
     # post-order over the reachable masks on an explicit stack: a mask is
-    # expanded (one best_query) when first popped, then pushed back with
-    # its terms under the restrictions it leads to, so it is valued after
-    # them; restrictions drop the queried concept, so they are strictly
-    # smaller and the walk has no cycles
-    stack: list[tuple[int, int, list[tuple[int, int]] | None]] = [(start, 0, None)]
+    # expanded (its table entry) when first popped, then pushed back with
+    # its step above the subclasses its counterexamples leave, so it is
+    # valued after them; those drop the queried concept, so they are
+    # strictly smaller and the walk has no cycles
+    stack: list[tuple[int, _Step | None]] = [(start, None)]
     while stack:
-        mask, total, subs = stack.pop()
-        if subs is not None:
-            # 1 + sum of m * E(sub) / total, over one common denominator
-            values = [memo[sub] for _, sub in subs]
-            scale = math.lcm(*(v.denominator for v in values))
-            num = sum(
-                m * v.numerator * (scale // v.denominator) for (m, _), v in zip(subs, values)
-            )
-            memo[mask] = Fraction(num + scale * total, scale * total)
+        mask, step = stack.pop()
+        if step is not None:
+            # mu conditioned on the difference is mass[p] / D in the graph's
+            # integers: 1 + sum of mass[p] * E(sub) / D, over one denominator
+            _, points, total, _, successors = step
+            values = [memo[sub] for sub in successors]
+            scale = math.lcm(*[d for _, d in values])
+            den = scale * total
+            num = den + sum([mass[p] * n * (scale // d) for p, (n, d) in zip(points, values)])
+            g = math.gcd(num, den)
+            memo[mask] = (num // g, den // g)
             continue
         if mask in memo:
             continue
-        q = graph.best_query(mask)
-        if q == t:
-            memo[mask] = Fraction(1)
+        step = table[mask]
+        if step is None:
+            memo[mask] = (1, 1)
             continue
-        # mu conditioned on the difference is mass[p] / D in the graph's integers
-        points, total = graph.diff_mass(q, t)
-        subs = [(mass[p], cache.restrict_mask(mask, p, target_bits[p])) for p in points]
-        stack.append((mask, total, subs))
-        stack.extend((sub, 0, None) for _, sub in reversed(subs) if sub not in memo)
-    return memo[start]
+        stack.append((mask, step))
+        stack.extend((sub, None) for sub in reversed(step[4]) if sub not in memo)
+    return Fraction(*memo[start])
 
 
 @dataclass(frozen=True)
@@ -370,11 +371,8 @@ def monte_carlo_trials(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if graph is None:
-        graph = QueryGraph(concept_class)
-    concept_class.index_of(target)  # membership check
-    table = _Transitions(graph, graph.root.index_of(target))
-    start = table[graph.cache.mask_of(concept_class)]
+    table, mask = _start(concept_class, target, graph)
+    start = table[mask]
     counts: dict[int, int] = {}
     for i in range(trials):
         variate = random.Random(derive_seed(seed, i)).getrandbits

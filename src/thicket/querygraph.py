@@ -28,8 +28,8 @@ selection prunes a candidate with one lane-wise test against the
 incumbent's rank, and finds each new incumbent's rank with the same
 test, lane by lane. The graph reads the difference points of a concept
 pair off the XOR of the cache's point bits, memoizes the chosen query
-per subclass, and keeps the last integer edge table it built for every
-check of that subclass.
+per subclass, and keeps the last integer edge table it built, which
+weights, ranks and every check of that subclass read.
 """
 
 from __future__ import annotations
@@ -166,44 +166,19 @@ class QueryGraph:
             num += deltas[low]
         return num, self._dens[i]
 
-    def _lightest(self, i: int, targets: int, row: tuple[int, int]) -> tuple[int, int]:
-        """Lightest edge from concepts[i] to a concept in `targets`, as
-        exact (N, D) read off its row in index order; (1, 0) stands for
-        +inf when no target is left."""
-        nums, dens = row
-        width, lane = self._width, self._lane
-        best_n, best_d = 1, 0
-        rest = targets & ~(1 << i)
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            shift = (low.bit_length() - 1) * width
-            num, den = nums >> shift & lane, dens >> shift & lane
-            if num * best_d < best_n * den:
-                best_n, best_d = num, den
-        return best_n, best_d
-
-    def _member_row(self, mask: int, i: int, *others: int) -> tuple[int, int]:
-        """Row of concepts[i], after checking that it and `others` are
-        members of the subclass."""
-        for k in (i, *others):
-            if not mask >> k & 1:
-                raise ValueError("concept is not a member of the subclass")
-        return self._row(self._layout(mask), i)
-
     def edges(self, mask: int) -> dict[tuple[int, int], tuple[int, int]]:
         """Integer (N, D) of every ordered edge (i, j) of the subclass, in
-        index order, from one row per concept. The graph keeps the last
+        index order: lane j of concepts[i]'s row. The graph keeps the last
         table and shares it, so callers only read it."""
         if self._edges[0] != mask:
             members = [i for i in range(mask.bit_length()) if mask >> i & 1]
-            layout = self._layout(mask)
+            layout, width, lane = self._layout(mask), self._width, self._lane
             table = {}
             for i in members:
-                row = self._row(layout, i)
+                nums, dens = self._row(layout, i)
                 for j in members:
                     if j != i:
-                        table[i, j] = self._lightest(i, 1 << j, row)
+                        table[i, j] = nums >> j * width & lane, dens >> j * width & lane
             self._edges = (mask, table)
         return self._edges[1]
 
@@ -212,14 +187,17 @@ class QueryGraph:
         must be members."""
         if i == j:
             raise ValueError("edge weight is undefined for identical concepts")
-        num, den = self._lightest(i, 1 << j, self._member_row(mask, i, j))
-        return Fraction(num, den)
+        if not mask >> i & mask >> j & 1:
+            raise ValueError("concept is not a member of the subclass")
+        return Fraction(*self.edges(mask)[i, j])
 
     def rank(self, mask: int, i: int) -> Fraction | float:
         """Minimum outgoing weight of member concepts[i]; +inf when it is
         alone."""
-        num, den = self._lightest(i, mask, self._member_row(mask, i))
-        return Fraction(num, den) if den else math.inf
+        if not mask >> i & 1:
+            raise ValueError("concept is not a member of the subclass")
+        out = (Fraction(*edge) for (k, _), edge in self.edges(mask).items() if k == i)
+        return min(out, default=math.inf)
 
     def best_query(self, mask: int) -> int:
         """Index of the max-min query in the subclass, lowest index on ties.

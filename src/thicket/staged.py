@@ -389,7 +389,11 @@ def run_staged_learner(
     Counterexample history carries across stages; each stage keeps only
     prefix concepts consistent with the history, so the target is never
     discarded from any prefix that contains it. Returns an unidentified
-    result (never raises) when `stage_cap` stages all fail.
+    result when `stage_cap` stages all fail. Raises ValueError for an
+    invalid target, PriorExhaustedError when a stage needs more prior
+    mass than a truncated enumeration holds, and ClassValidationError
+    when an interval prefix would atomize to more than MAX_CLASS_POINTS
+    points.
     """
     if target < 0 or (family.size is not None and target >= family.size):
         raise ValueError("target is not a valid enumeration index")

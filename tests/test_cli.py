@@ -382,6 +382,9 @@ def wide_file(tmp_path):
         (["compress", "--class", "{empty}", "--verify"], 3),
         (["verify", "--random-classes", "2", "--max-domain", "17"], 2),
         (["verify", "--class", "{wide}"], 3),
+        # random.sample cannot draw from range(2**63): the parser refuses first
+        (["gen", "--seed", "1", "--points", "63", "--concepts", "2"], 2),
+        (["gen", "--seed", "1", "--points", "300", "--concepts", "2"], 2),
     ],
 )
 def test_out_of_range_values_exit_with_a_message(
@@ -453,6 +456,13 @@ def test_staged_truncated_prior_exits_3(tmp_path, tau, seed, message):
     assert not proc.stdout
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_gen_takes_points_up_to_the_cap(capsys):
+    argv = ["gen", "--seed", "0", "--points", str(cli.MAX_GEN_POINTS), "--concepts", "3"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert len(load_class(out.encode("utf-8"))) == 3
 
 
 def one_hot_file(path, n, tau=False):
@@ -543,8 +553,8 @@ def test_verify_builds_one_edge_table_per_class(monkeypatch):
     def forbidden(*args):
         raise AssertionError("verify reads weights and ranks off the edge table")
 
-    real_edges, real_lightest = QueryGraph.edges, QueryGraph._lightest
-    tables, scans, building = [], [0], [False]
+    real_edges, real_row = QueryGraph.edges, QueryGraph._row
+    tables, rows, building = [], [0], [False]
 
     def edges(self, mask):
         building[0] = True
@@ -555,21 +565,23 @@ def test_verify_builds_one_edge_table_per_class(monkeypatch):
         tables.append(table)
         return table
 
-    def lightest(self, *args, **kwargs):
-        scans[0] += building[0]
-        return real_lightest(self, *args, **kwargs)
+    def row(self, *args, **kwargs):
+        rows[0] += building[0]
+        return real_row(self, *args, **kwargs)
 
     monkeypatch.setattr(QueryGraph, "weight", forbidden)
     monkeypatch.setattr(QueryGraph, "rank", forbidden)
     monkeypatch.setattr(QueryGraph, "edges", edges)
-    monkeypatch.setattr(QueryGraph, "_lightest", lightest)
+    monkeypatch.setattr(QueryGraph, "_row", row)
     for cc in random_classes(606, 40, 4, 6):
         tables.clear()
-        scans[0] = 0
+        rows[0] = 0
         assert cli._verify_one(cc, 5) == []
-        # verify and the cycle search share one table, built edge by edge once
+        # verify and the cycle search share one table, built once from one
+        # row per concept
         assert len(tables) == 2 and tables[0] is tables[1]
-        assert scans[0] == len(cc) * (len(cc) - 1) == len(tables[0])
+        assert rows[0] == len(cc)
+        assert len(tables[0]) == len(cc) * (len(cc) - 1)
 
 
 def test_verify_builds_one_ldim_cache_per_class(monkeypatch):

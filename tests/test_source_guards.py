@@ -8,7 +8,8 @@ outside the integer helpers. The one float the package returns is the
 
 The export guard imports every module and resolves each name its
 ``__all__`` lists, so ``from thicket.x import *`` cannot break on a
-stale entry after a removal.
+stale entry after a removal, and checks that the package lists exactly
+the names of its modules' lists.
 """
 
 import ast
@@ -107,8 +108,9 @@ def test_every_exported_name_resolves(module):
 
 
 def test_package_exports_names_its_modules_export():
-    listed = set()
+    # cli imports __version__ from the package, so the package leaves it out
+    listed = {"__version__"}
     for module in MODULES:
-        if module != "__init__":
+        if module not in ("__init__", "cli"):
             listed.update(importlib.import_module(f"thicket.{module}").__all__)
-    assert set(thicket.__all__) - listed == {"__version__"}
+    assert set(thicket.__all__) == listed
