@@ -58,6 +58,8 @@ MAX_REPLAY_POINTS = MAX_REPLAY_SUBSETS.bit_length() - 1
 # gen draws distinct concepts with random.sample from range(2**points),
 # whose length must fit in a C ssize_t: 62 points on a 64-bit build
 MAX_GEN_POINTS = sys.maxsize.bit_length() - 1
+# a drawn concept takes about 0.9 KB: cap the draw at about 60 MB
+MAX_GEN_CONCEPTS = 2**16
 
 
 class UsageError(Exception):
@@ -430,7 +432,7 @@ COMMANDS: tuple[tuple[str, str, Callable[[argparse.Namespace], int], dict[str, A
     ("gen", "emit a seeded random class file", cmd_gen, {
         "--seed": {"type": int, "required": True},
         "--points": {"type": _int_at_least(1, MAX_GEN_POINTS), "required": True},
-        "--concepts": {"type": _POSITIVE, "required": True}}),
+        "--concepts": {"type": _int_at_least(1, MAX_GEN_CONCEPTS), "required": True}}),
 )
 
 

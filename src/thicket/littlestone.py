@@ -26,19 +26,21 @@ restrictions of that root: the query graph, the learner's expectation
 recursion, and the compression scheme all share one :class:`LdimCache`,
 and read each root concept's labels from it as one point-bits int.
 
-Each subclass has one drop table (`LdimCache.drops`): per point, the
-dimension lost by restricting to label 0 and to label 1 there, an empty
-side losing ldim + 1. The query graph prices its edges by it and
-`verify` sums it per point. Its zeros form the keep table, memoized per
-mask as point bitmasks ``(keep0, keep1)``: a labeled sample with points
-``subset`` and label bits ``key`` drops the dimension exactly at
-``subset & ~(keep1 & key | keep0 & ~key)``, which is how exceptional
-samples, canonical partial labelings and the compression greedy are read.
+Each subclass has one drop table, built over the points that split it
+(`LdimCache.splits`): per split point, the members labeled 0 there and
+the dimension lost by restricting to label 0 and to label 1. At any
+other point one side is the subclass and the other is empty, losing
+ldim + 1; `LdimCache.drops` is the per-point view, which `verify` sums.
+The query graph prices its edges by the split table. Its zeros form the
+keep table, memoized per mask as point bitmasks ``(keep0, keep1)``,
+where the members' common label keeps at a point that does not split
+them. A labeled sample with points ``subset`` and label bits ``key``
+drops the dimension exactly at ``subset & ~(keep1 & key | keep0 & ~key)``,
+which is how exceptional samples, canonical partial labelings and the
+compression greedy are read.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from .concepts import Concept, ConceptClass, PartialAssignment
 
@@ -92,19 +94,29 @@ class LdimCache:
     def restrict_mask(self, mask: int, point_index: int, value: int) -> int:
         return mask & self._level_masks[point_index][value]
 
-    def drops(self, mask: int) -> Iterator[tuple[int, int]]:
-        """The drop table of the subclass: per point, in order, ``(drop0,
-        drop1)``, the dimension it loses when restricted to label 0 (resp. 1)
-        there; an empty side loses ldim + 1."""
+    def splits(self, mask: int) -> list[tuple[int, int, int, int]]:
+        """The drop table at the points that split the subclass, in order:
+        ``(p, zeros, drop0, drop1)``, for ``zeros`` its members labeled 0
+        at point p and the drops as in `drops`."""
         ldim = self.ldim_mask
         d = ldim(mask)
-        for zeros, _ in self._level_masks:
+        table = []
+        for p, (zeros, _) in enumerate(self._level_masks):
             zeros &= mask
             if zeros and zeros != mask:
-                yield d - ldim(zeros), d - ldim(mask ^ zeros)
-            else:
-                # no split, no lookup: one side is the subclass, one is empty
-                yield (0, d + 1) if zeros else (d + 1, 0)
+                table.append((p, zeros, d - ldim(zeros), d - ldim(mask ^ zeros)))
+        return table
+
+    def drops(self, mask: int) -> list[tuple[int, int]]:
+        """The drop table of the subclass per point, in order: ``(drop0,
+        drop1)``, the dimension it loses when restricted to label 0 (resp. 1)
+        there; an empty side loses ldim + 1. A view of `splits`."""
+        d = self.ldim_mask(mask)
+        # a point that does not split: one side is the subclass, one is empty
+        table = [(0, d + 1) if zeros & mask else (d + 1, 0) for zeros, _ in self._level_masks]
+        for p, _, drop0, drop1 in self.splits(mask):
+            table[p] = drop0, drop1
+        return table
 
     def keeps(self, mask: int) -> tuple[int, int]:
         """Point bitmasks ``(keep0, keep1)`` of a nonempty subclass: the
@@ -116,15 +128,19 @@ class LdimCache:
         hit = self._keeps.get(mask)
         if hit is not None:
             return hit
-        keep0 = keep1 = 0
-        for p, (drop0, drop1) in enumerate(self.drops(mask)):
+        split = keep0 = keep1 = 0
+        for p, _, drop0, drop1 in self.splits(mask):
+            split |= 1 << p
             if not drop0:
                 if not drop1:
                     raise AssertionError("both labels keep the dimension; ldim is inconsistent")
                 keep0 |= 1 << p
             elif not drop1:
                 keep1 |= 1 << p
-        self._keeps[mask] = hit = keep0, keep1
+        # elsewhere the members' common label keeps everything
+        labels = self.point_bits[mask.bit_length() - 1] & ~split
+        keep0 |= (1 << len(self._level_masks)) - 1 & ~split & ~labels
+        self._keeps[mask] = hit = keep0, keep1 | labels
         return hit
 
     def canonical_mask(self, mask: int) -> tuple[int, int]:

@@ -23,7 +23,9 @@ the max-min query choice with lowest-index tie-breaking. It scales mu
 exactly to integers once, computes weights lazily in integer arithmetic
 and returns them as Fractions. Each concept's outgoing edges within a
 subclass are packed into one row of fixed-width integer lanes: the
-denominators once per concept, the numerators per subclass. Query
+denominators once per concept, the numerators per subclass from the
+cache's split table and mass-premultiplied lane spreads; a class whose
+rows would exceed `MAX_ROW_BITS` is refused before any is built. Query
 selection prunes a candidate with one lane-wise test against the
 incumbent's rank, and finds each new incumbent's rank with the same
 test, lane by lane. The graph reads the difference points of a concept
@@ -38,7 +40,7 @@ import math
 from fractions import Fraction
 from itertools import compress
 
-from .concepts import Concept, ConceptClass
+from .concepts import ClassValidationError, Concept, ConceptClass
 from .littlestone import LdimCache
 
 __all__ = [
@@ -46,6 +48,11 @@ __all__ = [
     "edge_weight",
     "find_deficient_cycle",
 ]
+
+# The D rows hold |C| lanes of `width` bits per root concept: refuse a
+# class whose rows would exceed this many bits (the 13-point cube takes
+# about 0.87e9 of them, the 14-point cube about 3.5e9)
+MAX_ROW_BITS = 2**30
 
 
 class QueryGraph:
@@ -70,7 +77,8 @@ class QueryGraph:
     bit j * width, holds N and D of the edge to root concept j. The D
     row is built once per concept; the N row is a base per subclass plus
     one delta per split point where the concept takes the minority
-    label. Query selection tests a whole row against the incumbent's
+    label, each a drop of the split table times a premultiplied spread
+    m_p * s_v. Query selection tests a whole row against the incumbent's
     rank in one lane-wise comparison, and a Fraction is built only when
     a weight or rank leaves the class.
     """
@@ -78,34 +86,46 @@ class QueryGraph:
     def __init__(self, root: ConceptClass, cache: LdimCache | None = None) -> None:
         if cache is not None and cache.root != root:
             raise ValueError("cache was built for a different root class")
-        self.root = root
-        self.cache = cache if cache is not None else LdimCache(root)
         mu = [Fraction(w) for w in root.domain.mu]
         scale = math.lcm(*(w.denominator for w in mu))
-        #: integer point masses m_p = mu(p) * L, shared with the learner's draws
-        self.mass = [w.numerator * (scale // w.denominator) for w in mu]
         # Every lane obeys N <= ldim * D and D <= L, an incumbent's (a, b)
         # too, lanes outside the subclass included (D of the concepts' full
         # disagreement), and no subclass has ldim above floor(log2 |root|):
         # products N * b and a * D stay below 2**(width - 1), so a lane of
         # N * b - a * D + bias lies in [0, 2**width) and never borrows.
-        bound = (len(root.concepts).bit_length() - 1) * scale * scale
-        self._width = bound.bit_length() + 1
-        self._pad = "0" * (self._width - 1)
-        self._lane = (1 << self._width) - 1
+        n = len(root.concepts)
+        bound = (n.bit_length() - 1) * scale * scale
+        self._width = width = bound.bit_length() + 1
+        if n * n * width > MAX_ROW_BITS:
+            raise ClassValidationError(
+                f"{n * n * width} bits of query-graph rows ({n} concepts squared"
+                f" times {width}-bit lanes) exceed {MAX_ROW_BITS}"
+            )
+        self.root = root
+        self.cache = cache if cache is not None else LdimCache(root)
+        #: integer point masses m_p = mu(p) * L, shared with the learner's draws
+        self.mass = [w.numerator * (scale // w.denominator) for w in mu]
+        self._lane = (1 << width) - 1
+        # _spread packs `chunk` bits of a mask per multiplication: the
+        # magic's copies of a chunk, width - 1 bits apart, put bit t of the
+        # chunk alone at bit t * width, where the lane mask keeps it
+        chunk = max(1, min(width - 1, 16))
+        self._chunk = (chunk, (1 << chunk) - 1, chunk * width)
+        self._magic = sum(1 << t * (width - 1) for t in range(chunk))
+        self._lanes = sum(1 << t * width for t in range(chunk))
         self._all = self._spread(self.cache.full_mask)
         # with bias 2**(width - 1) - 1, a lane's top bit is set iff N * b > a * D
         self._bias = (self._lane >> 1) * self._all
-        # per point: its bit, the concepts labeled 1 there, its mass, and the
-        # lane spreads of the concepts labeled 0 and 1 there
+        # per point: its bit, and the lane spreads of the concepts labeled 0
+        # and 1 there, times its mass
         self._points = []
         for p, m in enumerate(self.mass):
-            s1 = self._spread(ones := self.cache.level_mask(p, 1))
-            self._points.append((1 << p, ones, m, self._all - s1, s1))
+            s1 = self._spread(self.cache.level_mask(p, 1))
+            self._points.append((1 << p, m * (self._all - s1), m * s1))
         # per concept: lane j holds D of its edge to concept j, the mass of
         # the points where they differ, whatever subclass holds both
-        flips = [m * (s0 - s1) for _, _, m, s0, s1 in self._points]
-        base = sum(m * s1 for _, _, m, _, s1 in self._points)
+        flips = [ms0 - ms1 for _, ms0, ms1 in self._points]
+        base = sum(ms1 for _, _, ms1 in self._points)
         self._dens = [base + sum(compress(flips, c.bits)) for c in root.concepts]
         self._best: dict[int, int] = {}
         self._edges: tuple[int, dict[tuple[int, int], tuple[int, int]]] = (-1, {})
@@ -126,7 +146,13 @@ class QueryGraph:
 
     def _spread(self, mask: int) -> int:
         """Lane vector holding bit j of `mask` in lane j."""
-        return int(self._pad.join(bin(mask)[2:]), 2)
+        (chunk, low, step), magic, lanes = self._chunk, self._magic, self._lanes
+        out = shift = 0
+        while mask:
+            out |= ((mask & low) * magic & lanes) << shift
+            mask >>= chunk
+            shift += step
+        return out
 
     def _layout(self, mask: int) -> tuple[int, int, dict[int, int]]:
         """N parts of the rows of the subclass: a base, the points whose
@@ -134,24 +160,27 @@ class QueryGraph:
 
         A concept labeled v at a split point p reaches the members labeled
         1 - v there, each edge gaining m_p times the drop of label 1 - v in
-        the cache's drop table. The base is the N row of a member that takes
-        the majority label at every point; a member taking the minority
-        label at split point p adds its delta.
+        the cache's split table. The base is the N row of a member that
+        takes the majority label at every point (elsewhere all members
+        agree); a member taking the minority label at split point p adds
+        its delta.
         """
         count = mask.bit_count()
-        base = majority = 0
+        base = 0
+        majority = self.cache.point_bits[mask.bit_length() - 1] if mask else 0
         deltas = {}
-        for (bit, ones, m, s0, s1), (drop0, drop1) in zip(self._points, self.cache.drops(mask)):
-            size = (ones & mask).bit_count()
-            if 2 * size > count:
-                majority |= bit
-            if not size or size == count:
-                continue
+        for p, zeros, drop0, drop1 in self.cache.splits(mask):
+            bit, ms0, ms1 = self._points[p]
             # rows of the members labeled 0 at p, then of those labeled 1
-            from0, from1 = m * drop1 * s1, m * drop0 * s0
-            major, minor = (from1, from0) if 2 * size > count else (from0, from1)
-            base += major
-            deltas[bit] = minor - major
+            from0, from1 = drop1 * ms1, drop0 * ms0
+            if 2 * zeros.bit_count() < count:
+                majority |= bit
+                base += from1
+                deltas[bit] = from0 - from1
+            else:
+                majority &= ~bit
+                base += from0
+                deltas[bit] = from1 - from0
         return base, majority, deltas
 
     def _row(self, layout: tuple[int, int, dict[int, int]], i: int) -> tuple[int, int]:

@@ -475,13 +475,19 @@ def staged_trials(
     seed: int,
     stage_cap: int = 30,
 ) -> StagedSummary:
-    """Seeded staged runs, one prior-drawn target per trial."""
+    """Seeded staged runs, one prior-drawn target per trial.
+
+    Trial i reseeds one generator with derive_seed(seed, i) and draws its
+    target, then its run, from it, so any single trial can be replayed in
+    isolation with random.Random(derive_seed(seed, i)).
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     counts: list[int] = []
     identified = 0
+    rng = random.Random()
     for i in range(trials):
-        rng = random.Random(derive_seed(seed, i))
+        rng.seed(derive_seed(seed, i))
         target = sample_target(family, rng)
         result = run_staged_learner(family, target, rng, stage_cap)
         counts.append(result.queries)

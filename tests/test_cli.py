@@ -363,6 +363,14 @@ def wide_file(tmp_path):
     return write_class_file(tmp_path / "wide.json", mk_class(WIDE))
 
 
+@pytest.fixture(scope="module")
+def cube14_file(tmp_path_factory):
+    # every concept on 14 points: 16384**2 lanes of 13 bits, about 3.5e9
+    # bits of query-graph rows, over MAX_ROW_BITS
+    cube = mk_class([format(v, "014b") for v in range(2**14)])
+    return write_class_file(tmp_path_factory.mktemp("cube") / "cube14.json", cube)
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -385,13 +393,19 @@ def wide_file(tmp_path):
         # random.sample cannot draw from range(2**63): the parser refuses first
         (["gen", "--seed", "1", "--points", "63", "--concepts", "2"], 2),
         (["gen", "--seed", "1", "--points", "300", "--concepts", "2"], 2),
+        # query-graph rows over MAX_ROW_BITS
+        (["learn-exact", "--class", "{cube14}", "--target", "c0"], 3),
+        (["verify", "--class", "{cube14}"], 3),
+        # more concepts than MAX_GEN_CONCEPTS
+        (["gen", "--seed", "1", "--points", "30", "--concepts", "65537"], 2),
+        (["gen", "--seed", "1", "--points", "40", "--concepts", "100000000"], 2),
     ],
 )
 def test_out_of_range_values_exit_with_a_message(
-    capsys, tmp_path, c3_file, wide_file, argv, expected
+    capsys, tmp_path, c3_file, wide_file, cube14_file, argv, expected
 ):
     empty = write_class_file(tmp_path / "empty.json", ConceptClass(Domain.uniform(["x1"]), ()))
-    argv = [a.format(c3=c3_file, empty=empty, wide=wide_file) for a in argv]
+    argv = [a.format(c3=c3_file, empty=empty, wide=wide_file, cube14=cube14_file) for a in argv]
     code, _, err = run(capsys, argv)
     assert code == expected
     assert "Traceback" not in err
@@ -404,6 +418,25 @@ def test_verify_refuses_oversized_class(capsys, wide_file):
     assert code == 3
     assert not out
     assert "at most 16 points" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["learn-exact", "--class", "{cube14}", "--target", "c0"], ["verify", "--class", "{cube14}"]],
+)
+def test_query_graph_rows_over_the_budget_exit_3_before_any_row(
+    capsys, monkeypatch, cube14_file, argv
+):
+    def forbidden(*args):
+        raise AssertionError("the budget is checked before any lane spread")
+
+    monkeypatch.setattr(QueryGraph, "_spread", forbidden)
+    code, out, err = run(capsys, [a.format(cube14=cube14_file) for a in argv])
+    assert code == 3
+    assert not out
+    assert "3489660928 bits of query-graph rows" in err
+    assert f"exceed {2**30}" in err
     assert "Traceback" not in err
 
 

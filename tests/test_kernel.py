@@ -5,7 +5,8 @@ plus one-hot unions and near-singletons, whose dimension sits below the
 floor(log2 |C|) cap so that failing decisions run. Every mask that the
 exact DP and the keep tables ask the dimension of is checked against
 `ref_ldim`, and every subclass the learner reaches against `ref_max_min`,
-`ref_rank` and `ref_edge_weight`.
+`ref_rank` and `ref_edge_weight`. The split table is checked against the
+restriction recursion, and the lane spread against its plain string form.
 """
 
 import functools
@@ -15,8 +16,16 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from helpers import mk_class, one_hot, recursion_headroom
-from thicket import LdimCache, QueryGraph, exact_expected_queries, ldim
+from helpers import all_three_point_classes, mk_class, one_hot, recursion_headroom
+from thicket import (
+    IntervalFamily,
+    LdimCache,
+    QueryGraph,
+    certify_scheme,
+    exact_expected_queries,
+    ldim,
+)
+from thicket.generate import random_class
 
 
 @pytest.fixture
@@ -54,7 +63,14 @@ def below_cap_cases():
     # every concept with at most one 1, and a few with two
     near = hot + [(0,) * 8] + [tuple(int(p in (q, q + 1)) for p in range(8)) for q in (0, 3, 5)]
     mu = [Fraction(p + 1, 36) for p in range(8)]
-    return [(hot, mu), (union, mu), (near, [Fraction(1, 8)] * 8)]
+    # a 4-cube and a 3-cube split by the first point, and eight more
+    # concepts beside the 4-cube: deciding dimension 4 below the cap 5
+    # asks that side, which holds the 4-cube, for dimension 3 only
+    rows = ["0" + format(v, "04b") + "0000" for v in range(16)]
+    rows += ["1" + format(v, "03b") + "00000" for v in range(8)]
+    rows += ["00000" + format(v, "04b") for v in range(1, 9)]
+    nested = [tuple(map(int, row)) for row in rows]
+    return [(hot, mu), (union, mu), (near, [Fraction(1, 8)] * 8), (nested, [Fraction(1, 9)] * 9)]
 
 
 CASES = [random_case(k) for k in range(8)] + below_cap_cases()
@@ -212,3 +228,89 @@ def test_decision_depth_stays_within_log2_of_the_class(n):
     deepest = _decision_depth(cache)
     assert ldim(cube, cache) == n
     assert 0 < deepest[0] <= n - 1
+
+
+def check_splits(cache, patterns, mask, dim):
+    """`splits(mask)` against the plain recursion `dim`: the points where
+    the subclass takes both labels, each with its 0-side and what each
+    labeled restriction loses; `drops(mask)` reads the same pairs there."""
+    members = [i for i in range(len(patterns)) if mask >> i & 1]
+    d = dim(tuple(patterns[i] for i in members))
+    expected = []
+    for p in range(len(patterns[0])):
+        zeros = sum(1 << i for i in members if patterns[i][p] == 0)
+        if zeros and zeros != mask:
+            sides = [tuple(patterns[i] for i in members if patterns[i][p] == v) for v in (0, 1)]
+            expected.append((p, zeros, d - dim(sides[0]), d - dim(sides[1])))
+    assert cache.splits(mask) == expected
+    drops = cache.drops(mask)
+    for p, _, drop0, drop1 in expected:
+        assert drops[p] == (drop0, drop1)
+
+
+def test_split_table_matches_plain_recursion_on_three_points():
+    dim = functools.cache(helpers.ref_ldim)
+    for cc in all_three_point_classes():
+        cache = LdimCache(cc)
+        patterns = [c.bits for c in cc.concepts]
+        for mask in range(cache.full_mask + 1):
+            check_splits(cache, patterns, mask, dim)
+    # the empty subclass splits nowhere
+    assert LdimCache(helpers.c3()).splits(0) == []
+
+
+def test_split_table_matches_plain_recursion_where_the_greedy_goes():
+    drawn = [random_class(random.Random(f"keeps {k}"), 7, 14, 7, 10) for k in range(4)]
+    # the same classes with an eighth point that no concept splits
+    one_sided = [
+        mk_class([c.bitstring() + str(k % 2) for c in cc.concepts]) for k, cc in enumerate(drawn)
+    ]
+    dim = functools.cache(helpers.ref_ldim)
+    for k, cc in enumerate(drawn + one_sided):
+        cache = LdimCache(cc)
+        real, reached = cache.keeps, set()
+
+        def keeps(mask):
+            reached.add(mask)
+            return real(mask)
+
+        cache.keeps = keeps
+        assert certify_scheme(cc, cache=cache).ok
+        patterns = [c.bits for c in cc.concepts]
+        for mask in reached:
+            check_splits(cache, patterns, mask, dim)
+            if k >= len(drawn):
+                assert all(p < 7 for p, *_ in cache.splits(mask))
+
+
+def _plain_spread(mask, width):
+    return int(("0" * (width - 1)).join(bin(mask)[2:]), 2)
+
+
+def _spread_graphs():
+    """Graphs with lanes of 1, 2, 16, 17, 18 and 40 bits, and staged
+    prefix graphs with lanes of 40 and 119 bits."""
+    yield 1, QueryGraph(mk_class(["0"]))
+    yield 2, QueryGraph(mk_class(["0", "1"]))
+    # 40 concepts (ldim cap 5) with mass denominators q: 5 * q**2 sets the width
+    patterns = [format(v, "06b") for v in range(40)]
+    for width, q in ((16, 58), (17, 81), (18, 115), (40, 234469)):
+        mu = [Fraction(1, q)] * 5 + [1 - Fraction(5, q)]
+        yield width, QueryGraph(mk_class(patterns, mu=mu))
+    family = IntervalFamily(Fraction(1, 10))
+    yield 40, family.prefix_graph(14)[1]
+    yield 119, family.prefix_graph(40)[1]
+
+
+def test_spread_matches_the_plain_string_form():
+    rng = random.Random("spread")
+    for width, graph in _spread_graphs():
+        assert graph._width == width
+        n = graph.cache.full_mask.bit_length()
+        masks = {0, graph.cache.full_mask}
+        masks |= {1 << i for i in range(n)}
+        # pairs and runs across the boundaries of 16-bit chunks
+        masks |= {3 << i for i in range(n - 1)} | {0b111 << i for i in range(n - 2)}
+        masks |= {rng.getrandbits(n) for _ in range(50)}
+        for mask in masks:
+            assert graph._spread(mask) == _plain_spread(mask, width), (width, mask)

@@ -6,7 +6,8 @@ from itertools import permutations, product
 
 import pytest
 
-from thicket import QueryGraph, edge_weight, find_deficient_cycle
+from thicket import ClassValidationError, QueryGraph, edge_weight, find_deficient_cycle
+from thicket import querygraph
 from thicket.generate import random_classes
 
 from helpers import (
@@ -274,3 +275,14 @@ def test_weight_and_rank_take_members_only():
         graph.weight(0b011, 0, 2)
     with pytest.raises(ValueError):
         graph.rank(0b011, 2)
+
+
+def test_graph_refuses_rows_over_the_budget(monkeypatch):
+    # the D rows take len(C)**2 lanes of `width` bits; c3 has 3 concepts
+    cc = c3()
+    rows = 9 * QueryGraph(cc)._width
+    monkeypatch.setattr(querygraph, "MAX_ROW_BITS", rows)
+    QueryGraph(cc)  # exactly at the budget
+    monkeypatch.setattr(querygraph, "MAX_ROW_BITS", rows - 1)
+    with pytest.raises(ClassValidationError, match=f"{rows} bits of query-graph rows"):
+        QueryGraph(cc)
