@@ -66,10 +66,6 @@ class UsageError(Exception):
     """Bad flag combination or value; maps to exit code 2."""
 
 
-class OversizedInput(Exception):
-    """An input file too large for the command to check; maps to exit code 3."""
-
-
 def _int_at_least(low: int, high: int | None = None) -> Callable[[str], int]:
     """argparse type: an integer no smaller than `low`, nor above `high`."""
 
@@ -104,7 +100,7 @@ def _read_class(path: str) -> ConceptClass:
 
 def _within_size(cc: ConceptClass, path: str) -> ConceptClass:
     if len(cc.domain) > MAX_CLASS_POINTS:
-        raise OversizedInput(
+        raise ClassValidationError(
             f"class file {path!r} has {len(cc.domain)} points;"
             f" at most {MAX_CLASS_POINTS} are supported"
         )
@@ -261,8 +257,14 @@ def _class_document(cc: ConceptClass) -> str:
 
 def _drop_sums(cache: LdimCache, mask: int) -> list[int]:
     """Per point p, drop(C, ., p) at label 0 plus at label 1: a pair split
-    at p takes both labels there, so this is the drop sum of every such pair."""
-    return [drop0 + drop1 for drop0, drop1 in cache.drops(mask)]
+    at p takes both labels there, so this is the drop sum of every such pair.
+    An empty side loses ldim + 1, since ldim_mask(0) is -1."""
+    ldim, side = cache.ldim_mask, cache.restrict_mask
+    d = ldim(mask)
+    return [
+        2 * d - ldim(side(mask, p, 0)) - ldim(side(mask, p, 1))
+        for p in range(len(cache.root.domain))
+    ]
 
 
 def _verify_one(cc: ConceptClass, max_cycle_len: int) -> list[dict[str, Any]]:
@@ -339,7 +341,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _bound_replay(
             classes[0],
             None,
-            OversizedInput,
+            ClassValidationError,
             f"verify replays them all, so it takes classes of at most"
             f" {MAX_REPLAY_POINTS} points",
         )
@@ -473,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"thicket {args.command}: {exc}", file=sys.stderr)
         return 2
-    except (ClassValidationError, OSError, OversizedInput, PriorExhaustedError) as exc:
+    except (ClassValidationError, OSError, PriorExhaustedError) as exc:
         print(f"thicket {args.command}: {exc}", file=sys.stderr)
         return 3
     finally:

@@ -260,18 +260,14 @@ def compress(
     return tuple(concept_class.domain.points[p] for p in tup)
 
 
-def build_reconstructors(
-    concept_class: ConceptClass,
-    cache: LdimCache | None = None,
-) -> tuple[Reconstructor, ...]:
+def build_reconstructors(concept_class: ConceptClass) -> tuple[Reconstructor, ...]:
     """The d + 1 reconstruction functions of the class, rho_0 .. rho_d.
 
     Each is total on length-d point tuples. For every realizable
     nonempty sample f, at least one of them satisfies
     rho(compress(C, f)) restricted to dom(f) == f.
     """
-    cache, mask = _root(concept_class, cache)
-    decoders = _index_decoders(cache, mask)
+    decoders = _index_decoders(*_root(concept_class, None))
     d = len(decoders) - 1
     domain = concept_class.domain
 

@@ -30,13 +30,14 @@ Each subclass has one drop table, built over the points that split it
 (`LdimCache.splits`): per split point, the members labeled 0 there and
 the dimension lost by restricting to label 0 and to label 1. At any
 other point one side is the subclass and the other is empty, losing
-ldim + 1; `LdimCache.drops` is the per-point view, which `verify` sums.
-The query graph prices its edges by the split table. Its zeros form the
-keep table, memoized per mask as point bitmasks ``(keep0, keep1)``,
-where the members' common label keeps at a point that does not split
-them. A labeled sample with points ``subset`` and label bits ``key``
-drops the dimension exactly at ``subset & ~(keep1 & key | keep0 & ~key)``,
-which is how exceptional samples, canonical partial labelings and the
+ldim + 1 since ``ldim_mask(0) == -1``, so `drop` and `verify`'s
+per-point sums read every point as ``ldim(C) - ldim(C at a = v)``. The
+query graph prices its edges by the split table. Its zeros form the keep
+table, memoized per mask as point bitmasks ``(keep0, keep1)``, where the
+members' common label keeps at a point that does not split them. A
+labeled sample with points ``subset`` and label bits ``key`` drops the
+dimension exactly at ``subset & ~(keep1 & key | keep0 & ~key)``, which
+is how exceptional samples, canonical partial labelings and the
 compression greedy are read.
 """
 
@@ -97,7 +98,8 @@ class LdimCache:
     def splits(self, mask: int) -> list[tuple[int, int, int, int]]:
         """The drop table at the points that split the subclass, in order:
         ``(p, zeros, drop0, drop1)``, for ``zeros`` its members labeled 0
-        at point p and the drops as in `drops`."""
+        at point p and ``drop0``, ``drop1`` the dimension it loses when
+        restricted to label 0 (resp. 1) there."""
         ldim = self.ldim_mask
         d = ldim(mask)
         table = []
@@ -105,17 +107,6 @@ class LdimCache:
             zeros &= mask
             if zeros and zeros != mask:
                 table.append((p, zeros, d - ldim(zeros), d - ldim(mask ^ zeros)))
-        return table
-
-    def drops(self, mask: int) -> list[tuple[int, int]]:
-        """The drop table of the subclass per point, in order: ``(drop0,
-        drop1)``, the dimension it loses when restricted to label 0 (resp. 1)
-        there; an empty side loses ldim + 1. A view of `splits`."""
-        d = self.ldim_mask(mask)
-        # a point that does not split: one side is the subclass, one is empty
-        table = [(0, d + 1) if zeros & mask else (d + 1, 0) for zeros, _ in self._level_masks]
-        for p, _, drop0, drop1 in self.splits(mask):
-            table[p] = drop0, drop1
         return table
 
     def keeps(self, mask: int) -> tuple[int, int]:
@@ -142,12 +133,6 @@ class LdimCache:
         keep0 |= (1 << len(self._level_masks)) - 1 & ~split & ~labels
         self._keeps[mask] = hit = keep0, keep1 | labels
         return hit
-
-    def canonical_mask(self, mask: int) -> tuple[int, int]:
-        """`canonical_partial` of a nonempty subclass as point bitmasks
-        ``(defined, ones)``: where it is defined, and where it reads 1."""
-        keep0, keep1 = self.keeps(mask)
-        return keep0 | keep1, keep1
 
     def ldim_mask(self, mask: int) -> int:
         count = mask.bit_count()
@@ -215,33 +200,25 @@ def ldim(concept_class: ConceptClass, cache: LdimCache | None = None) -> int:
     return cache.ldim_mask(mask)
 
 
-def drop(
-    concept_class: ConceptClass,
-    concept: Concept,
-    point: str,
-    cache: LdimCache | None = None,
-) -> int:
+def drop(concept_class: ConceptClass, concept: Concept, point: str) -> int:
     """Dimension lost by restricting to the concept's label at `point`.
 
     drop(C, A, a) = ldim(C) - ldim(C restricted to a = A(a)). Nonnegative,
     and at most ldim(C) + 1 (the restriction can be empty).
     """
-    cache, mask = _cache_for(concept_class, cache)
-    return list(cache.drops(mask))[concept_class.domain.index(point)][concept.value(point)]
+    cache = LdimCache(concept_class)
+    side = cache.level_mask(concept_class.domain.index(point), concept.value(point))
+    return cache.ldim_mask(cache.full_mask) - cache.ldim_mask(side)
 
 
-def is_exceptional(
-    concept_class: ConceptClass,
-    sample: PartialAssignment,
-    cache: LdimCache | None = None,
-) -> bool:
+def is_exceptional(concept_class: ConceptClass, sample: PartialAssignment) -> bool:
     """True when every labeled restriction of `sample` keeps the dimension.
 
     The empty sample is vacuously exceptional. Requires a nonempty class.
     """
     if len(concept_class) == 0:
         raise ValueError("exceptionality is undefined for the empty class")
-    cache, mask = _cache_for(concept_class, cache)
+    cache = LdimCache(concept_class)
     subset = key = 0
     for point, label in sample.items():
         if label not in (0, 1):
@@ -249,14 +226,11 @@ def is_exceptional(
         p = concept_class.domain.index(point)
         subset |= 1 << p
         key |= label << p
-    keep0, keep1 = cache.keeps(mask)
+    keep0, keep1 = cache.keeps(cache.full_mask)
     return subset & ~(keep1 & key | keep0 & ~key) == 0
 
 
-def canonical_partial(
-    concept_class: ConceptClass,
-    cache: LdimCache | None = None,
-) -> dict[str, int]:
+def canonical_partial(concept_class: ConceptClass) -> dict[str, int]:
     """The class's canonical partial labeling, in domain point order.
 
     At each point the map takes the unique label whose restriction keeps
@@ -269,7 +243,7 @@ def canonical_partial(
     """
     if len(concept_class) == 0:
         raise ValueError("the empty class has no canonical partial labeling")
-    cache, mask = _cache_for(concept_class, cache)
-    defined, ones = cache.canonical_mask(mask)
+    cache = LdimCache(concept_class)
+    keep0, keep1 = cache.keeps(cache.full_mask)
     points = concept_class.domain.points
-    return {x: ones >> p & 1 for p, x in enumerate(points) if defined >> p & 1}
+    return {x: keep1 >> p & 1 for p, x in enumerate(points) if (keep0 | keep1) >> p & 1}

@@ -237,12 +237,16 @@ class QueryGraph:
         incumbent, so ties keep the lower index; its rank is found lane by
         lane, from the first other member's lane down to the lowest lane
         strictly below the current one (top bit of a * D - N * b + bias),
-        until no lane is lighter. Two distinct concepts weigh 1 both ways,
-        so a subclass of one or two concepts takes its lowest index.
+        until no lane is lighter. Each step moves to a strictly lighter
+        member lane, so an incumbent takes at most |C| - 1 steps; a search
+        that runs past them raises AssertionError. Two distinct concepts
+        weigh 1 both ways, so a subclass of one or two concepts takes its
+        lowest index.
         """
         if mask == 0:
             raise ValueError("no query exists for the empty class")
-        if mask.bit_count() < 3:
+        count = mask.bit_count()
+        if count < 3:
             return (mask & -mask).bit_length() - 1
         hit = self._best.get(mask)
         if hit is not None:
@@ -262,29 +266,23 @@ class QueryGraph:
                 continue
             best_i = i
             below = others & -others
-            while below:
+            for _ in range(count):
+                if not below:
+                    break
                 shift = below.bit_length() - width
                 a, b = nums >> shift & lane, dens >> shift & lane
                 below = (a * dens - nums * b + bias) & others
                 below &= -below
+            else:
+                raise AssertionError("rank search passed |C| - 1 steps; lanes are inconsistent")
         self._best[mask] = best_i
         return best_i
 
 
-def _whole(concept_class: ConceptClass, graph: QueryGraph | None) -> tuple[QueryGraph, int]:
-    graph = graph or QueryGraph(concept_class)
-    return graph, graph.cache.mask_of(concept_class)
-
-
-def edge_weight(
-    concept_class: ConceptClass,
-    a: Concept,
-    b: Concept,
-    graph: QueryGraph | None = None,
-) -> Fraction:
+def edge_weight(concept_class: ConceptClass, a: Concept, b: Concept) -> Fraction:
     """Exact d(a, b) in the given class. Requires a != b, both members."""
-    graph, mask = _whole(concept_class, graph)
-    return graph.weight(mask, graph.root.index_of(a), graph.root.index_of(b))
+    graph = QueryGraph(concept_class)
+    return graph.weight(graph.cache.full_mask, graph.root.index_of(a), graph.root.index_of(b))
 
 
 def find_deficient_cycle(
@@ -307,8 +305,8 @@ def find_deficient_cycle(
     """
     if max_len < 2:
         raise ValueError("a cycle needs at least 2 vertices")
-    graph, mask = _whole(concept_class, graph)
-    table = graph.edges(mask)
+    graph = graph or QueryGraph(concept_class)
+    table = graph.edges(graph.cache.mask_of(concept_class))
     light: dict[int, list[int]] = {}
     for (i, j), (num, den) in table.items():
         if 2 * num <= den:

@@ -7,11 +7,16 @@ exact DP and the keep tables ask the dimension of is checked against
 `ref_ldim`, and every subclass the learner reaches against `ref_max_min`,
 `ref_rank` and `ref_edge_weight`. The split table is checked against the
 restriction recursion, and the lane spread against its plain string form.
+A kernel with inconsistent lanes must fail its rank search, not spin.
 """
 
 import functools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -233,7 +238,7 @@ def test_decision_depth_stays_within_log2_of_the_class(n):
 def check_splits(cache, patterns, mask, dim):
     """`splits(mask)` against the plain recursion `dim`: the points where
     the subclass takes both labels, each with its 0-side and what each
-    labeled restriction loses; `drops(mask)` reads the same pairs there."""
+    labeled restriction loses."""
     members = [i for i in range(len(patterns)) if mask >> i & 1]
     d = dim(tuple(patterns[i] for i in members))
     expected = []
@@ -243,9 +248,6 @@ def check_splits(cache, patterns, mask, dim):
             sides = [tuple(patterns[i] for i in members if patterns[i][p] == v) for v in (0, 1)]
             expected.append((p, zeros, d - dim(sides[0]), d - dim(sides[1])))
     assert cache.splits(mask) == expected
-    drops = cache.drops(mask)
-    for p, _, drop0, drop1 in expected:
-        assert drops[p] == (drop0, drop1)
 
 
 def test_split_table_matches_plain_recursion_on_three_points():
@@ -314,3 +316,45 @@ def test_spread_matches_the_plain_string_form():
         masks |= {rng.getrandbits(n) for _ in range(50)}
         for mask in masks:
             assert graph._spread(mask) == _plain_spread(mask, width), (width, mask)
+
+
+# A lane spread in chunks of `width` bits: a chunk's copies in the magic
+# product overlap and carry, so the lanes no longer hold the mask's bits.
+COLLIDING_SPREAD = """
+import random
+from thicket import QueryGraph
+from thicket.generate import random_class
+from thicket.learner import derive_seed
+
+def spread(self, mask):
+    width = self._width
+    magic = sum(1 << t * (width - 1) for t in range(width))
+    lanes = sum(1 << t * width for t in range(width))
+    out = shift = 0
+    while mask:
+        out |= ((mask & (1 << width) - 1) * magic & lanes) << shift
+        mask >>= width
+        shift += width * width
+    return out
+
+QueryGraph._spread = spread
+cc = random_class(random.Random(derive_seed(0, 0)), 8, 40, 8, 40)
+graph = QueryGraph(cc)
+rng = random.Random(0)
+for _ in range(100):
+    graph.best_query(rng.getrandbits(len(cc)))
+"""
+
+
+def test_rank_search_on_inconsistent_lanes_fails_instead_of_spinning():
+    # each rank-search step moves to a strictly lighter lane, so an
+    # incumbent takes at most |C| - 1 of them; with the colliding spread
+    # the search would otherwise loop on the first subclass drawn
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", COLLIDING_SPREAD],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert "AssertionError: rank search passed |C| - 1 steps" in proc.stderr

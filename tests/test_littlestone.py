@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thicket import (
+    Concept,
     ConceptClass,
     Domain,
     LdimCache,
@@ -204,7 +205,16 @@ def check_keeps(cache, patterns, mask, dim):
             kept = tuple(c for c in sub if c[p] == label)
             assert (keep >> p & 1) == (dim(kept) == d)
     assert keep0 & keep1 == 0
-    assert cache.canonical_mask(mask) == (keep0 | keep1, keep1)
+    # the subclass built as a class: its canonical labeling takes the label
+    # that keeps the dimension, where one does
+    root = cache.root
+    members = tuple(c for i, c in enumerate(root.concepts) if mask >> i & 1)
+    assert canonical_partial(ConceptClass(root.domain, members)) == {
+        x: label
+        for p, x in enumerate(root.domain.points)
+        for label in (0, 1)
+        if dim(tuple(c for c in sub if c[p] == label)) == d
+    }
 
 
 def test_keeps_matches_plain_recursion_on_three_points():
@@ -239,26 +249,27 @@ def test_keeps_matches_plain_recursion_where_the_greedy_goes():
             check_keeps(cache, patterns, mask, dim)
 
 
-def check_drops(cache, patterns, mask, dim):
-    """`drops(mask)` against the plain recursion `dim`: per point, what each
-    labeled restriction loses, an empty side losing ldim + 1."""
-    sub = tuple(c for i, c in enumerate(patterns) if mask >> i & 1)
-    d = dim(sub)
-    assert list(cache.drops(mask)) == [
-        tuple(d - dim(tuple(c for c in sub if c[p] == v)) for v in (0, 1))
-        for p in range(len(patterns[0]))
-    ]
+def check_drops(cc, mask, dim):
+    """`drop` on the subclass `mask` of `cc`, built as a class, against the
+    plain recursion `dim`: per root concept, member or not, and per point,
+    what the restriction to its label loses, an empty side losing ldim + 1."""
+    sub = ConceptClass(cc.domain, tuple(c for i, c in enumerate(cc.concepts) if mask >> i & 1))
+    patterns = tuple(c.bits for c in sub.concepts)
+    d = dim(patterns)
+    for concept in cc.concepts:
+        for p, point in enumerate(cc.domain.points):
+            kept = tuple(c for c in patterns if c[p] == concept.bits[p])
+            assert drop(sub, concept, point) == d - dim(kept)
 
 
 def test_drops_match_plain_recursion_on_three_points():
     dim = functools.cache(ref_ldim)
     for cc in all_three_point_classes():
-        cache = LdimCache(cc)
-        patterns = [c.bits for c in cc.concepts]
-        for mask in range(cache.full_mask + 1):
-            check_drops(cache, patterns, mask, dim)
+        for mask in range(1 << len(cc)):
+            check_drops(cc, mask, dim)
     # the empty subclass loses nothing: both of its sides are empty too
-    assert list(LdimCache(c3()).drops(0)) == [(0, 0), (0, 0)]
+    empty = ConceptClass(c3().domain, ())
+    assert [drop(empty, c, x) for c in c3().concepts for x in ("x1", "x2")] == [0] * 6
 
 
 def test_drops_match_plain_recursion_where_the_greedy_goes():
@@ -278,14 +289,14 @@ def test_drops_match_plain_recursion_where_the_greedy_goes():
         cache.keeps = keeps
         assert certify_scheme(cc, cache=cache).ok
         dim = functools.cache(ref_ldim)
-        patterns = [c.bits for c in cc.concepts]
         for mask in reached:
-            check_drops(cache, patterns, mask, dim)
+            check_drops(cc, mask, dim)
         if k >= len(drawn):
             # every concept reads k % 2 at the eighth point: the other label
             # empties the class, which loses ldim + 1
-            lost = ldim(cc) + 1
-            assert list(cache.drops(cache.full_mask))[7] == ((lost, 0) if k % 2 else (0, lost))
+            first = cc.concepts[0]
+            other = Concept(cc.domain, first.bits[:7] + (1 - k % 2,))
+            assert (drop(cc, first, "x8"), drop(cc, other, "x8")) == (0, ldim(cc) + 1)
 
 
 def test_is_exceptional_matches_every_labeled_restriction():

@@ -6,6 +6,11 @@ and reports float literals, the name ``float`` and ``math`` attributes
 outside the integer helpers. The one float the package returns is the
 ``math.inf`` rank of a lone concept, allowed below by name.
 
+The import guard walks the same trees and reports each name an import
+binds that its module never reads, but for the few allowed below with
+their reason; ``__future__`` imports and the package's star re-exports
+bind no name to read.
+
 The export guard imports every module and resolves each name its
 ``__all__`` lists, so ``from thicket.x import *`` cannot break on a
 stale entry after a removal, and checks that the package lists exactly
@@ -93,6 +98,59 @@ def test_core_is_float_free_but_for_the_lone_concept_rank():
         hits += float_hits((SRC / f"{module}.py").read_text(encoding="utf-8"), module)
     assert {hit[:3] for hit in hits} == ALLOWED, hits
     assert len(hits) == len(ALLOWED), hits
+
+
+# (module, imported name): why it stays unread
+UNREAD_IMPORTS = {
+    ("cli", "drop"): "perfbench/tracer.py wraps it there as thicket.cli.drop",
+}
+
+
+def unread_imports(source, module):
+    """(module, bound name, line) per imported name the module never reads."""
+    tree = ast.parse(source)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in read:
+                    hits.append((module, name, node.lineno))
+    return sorted(hits, key=lambda hit: hit[2])
+
+
+def test_import_guard_sees_each_kind_of_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys as system\n"
+        "import json.decoder\n"
+        "from math import gcd, lcm as least\n"
+        "from .concepts import *\n"
+        "def f() -> os.PathLike:\n"
+        "    import re\n"
+        "    return least\n"
+    )
+    assert unread_imports(source, "m") == [
+        ("m", "system", 2),
+        ("m", "json", 3),
+        ("m", "gcd", 4),
+        ("m", "re", 7),
+    ]
+
+
+def test_every_imported_name_is_read():
+    hits = []
+    for module in MODULES:
+        hits += unread_imports((SRC / f"{module}.py").read_text(encoding="utf-8"), module)
+    assert {hit[:2] for hit in hits} == set(UNREAD_IMPORTS), hits
+    assert len(hits) == len(UNREAD_IMPORTS), hits
 
 
 @pytest.mark.parametrize("module", MODULES)
