@@ -29,27 +29,28 @@ label bits. Each greedy step reads the current class's keep table
 is not the one kept there, and the step pins the lowest such point.
 
 The greedy is written once, as a walk over the runs of many samples on
-one point set at a time: samples that have pinned the same points with
-the same labels share the step that follows, so the runs form a prefix
-tree. A node holds the current class and the group of concepts whose
-samples reach it; one scan of its keep table hands each concept to the
-child at its lowest dropping point, and the leaves are the samples,
-each with its realizer mask. `greedy_run` and `compress` walk the
-realizers of one sample, which give one leaf, and `build_reconstructors`
-names the decoders' points. `certify_scheme` walks the whole class on
-every point mask S, so each shared step is taken once per S and not
-once per sample, and reports violations, none of which should exist;
-decoders are pure functions of their tuple, so it evaluates each at
-most once per distinct tuple, trying first the one the tuple's shape
-names.
+one point set: samples that have pinned the same points with the same
+labels share the step that follows, so the runs form a prefix tree. A
+node holds the current class and the group of concepts whose samples
+reach it; one scan of its keep table hands each concept to the child at
+its lowest dropping point, and the leaves are the samples, each with its
+realizer mask. `greedy_run` and `compress` walk the realizers of one
+sample, which give one leaf, and `build_reconstructors` names the
+decoders' points. `certify_scheme` grows the point sets depth first, one
+higher point at a time, and derives each set's leaves from those of the
+set without its highest point: full runs carry over, and only early
+halts scan on, over the new point. Each shared step is so taken once and
+not once per sample or per point set. It reports violations, none of
+which should exist; decoders are pure functions of their tuple, so it
+evaluates each at most once per distinct tuple, trying first the one the
+tuple's shape names.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .concepts import ClassValidationError, Concept, ConceptClass, PartialAssignment
 from .littlestone import LdimCache, _cache_for
@@ -75,53 +76,60 @@ def _realizers(cache: LdimCache, mask: int, points: Sequence[int], key: int) -> 
     return mask
 
 
-Leaf = tuple[int, int, tuple[int, ...], tuple[int, ...]]
+Leaf = tuple[int, int, tuple[int, ...], tuple[int, ...], int]
+Level = tuple[int, int, int, int]
+
+
+def _levels(cache: LdimCache, points: Iterable[int]) -> list[Level]:
+    """``(bit, p, level 0, level 1)`` of each point index, as `_walk` scans them."""
+    level = cache.level_mask
+    return [(1 << p, p, level(p, 0), level(p, 1)) for p in points]
 
 
 def _walk(
-    cache: LdimCache, mask: int, d: int, points: Sequence[int], group: int
+    cache: LdimCache, d: int, levels: list[Level], stack: list[Leaf], leaves: list[Leaf]
 ) -> list[Leaf]:
-    """The greedy runs of every sample realized by `group` (a submask of the
-    class `mask`) on the ascending point indices `points`, walked as one
-    prefix tree.
+    """Walk the greedy runs of the nodes on `stack` over the ascending
+    points `levels`, as one prefix tree; append its leaves to `leaves`.
 
-    A node is a subclass, the group of concepts whose samples reach it, and
-    the points pinned with labels 1 and 0 so far. Its keep table is read
-    once; scanning the points in ascending order, the group's concepts
-    whose label drops the dimension at a point are pinned there and form
-    one child, and at a point where both labels drop it the rest splits
-    by label. A node with d pins (its class has dimension 0) is a full
-    run; a scan that ends with concepts left is an early halt, since
-    those all carry the labels that keep the dimension. Either way the
-    leaf is one sample, and its group is that sample's realizer mask.
-    Returns the leaves ``(class, realizers, ones, zeros)``, in no set order.
+    A node is ``(class, group, ones, zeros, scanned)``: a subclass, the
+    group of concepts whose samples reach it, the points pinned with
+    labels 1 and 0 so far, and how many of `levels` its scan has passed.
+    Its keep table is read once; scanning on from there, the group's
+    concepts whose label drops the dimension at a point are pinned there
+    and form a child (scanned 0), and at a point where both labels drop
+    it the rest splits by label. A child with d pins (its class is one
+    concept) is a full run; a scan that ends with concepts left is an
+    early halt, since those all carry the labels that keep the dimension.
+    Either way the leaf is one sample, and its group is that sample's
+    realizer mask. Returns `leaves`, in no set order.
+
+    An early halt over some points resumes over one more, higher point
+    from where it stopped: the nodes scanned before are the same, and a
+    child pinned at the new point does not split there, so its walk over
+    the larger set is its walk over the smaller one.
     """
-    if d == 0:
-        return [(mask, group, (), ())]
-    keeps, level = cache.keeps, cache.level_mask
-    levels = [(1 << p, p, level(p, 0), level(p, 1)) for p in points]
-    leaves: list[Leaf] = []
-    stack = [(mask, group, (), ())]
+    keeps, end = cache.keeps, len(levels)
     while stack:
-        sub, rest, ones, zeros = stack.pop()
+        sub, rest, ones, zeros, scanned = stack.pop()
         # a child that pins the d-th point is a full run
         out = leaves if len(ones) + len(zeros) + 1 == d else stack
         keep0, keep1 = keeps(sub)
-        for bit, p, at0, at1 in levels:
+        for bit, p, at0, at1 in levels[scanned:]:
             if not keep1 & bit:
                 moved = rest & at1
                 if moved:
                     rest ^= moved
-                    out.append((sub & at1, moved, ones + (p,), zeros))
+                    out.append((sub & at1, moved, ones + (p,), zeros, 0))
             if not keep0 & bit:
                 moved = rest & at0
                 if moved:
                     rest ^= moved
-                    out.append((sub & at0, moved, ones, zeros + (p,)))
+                    out.append((sub & at0, moved, ones, zeros + (p,), 0))
             if not rest:
                 break
         else:
-            leaves.append((sub, rest, ones, zeros))
+            leaves.append((sub, rest, ones, zeros, end))
     return leaves
 
 
@@ -208,7 +216,7 @@ def _index_run(
     if realizers == 0:
         raise ValueError("sample is not realizable by the class")
     d = cache.ldim_mask(mask)
-    (leaf,) = _walk(cache, mask, d, points, realizers)
+    (leaf,) = _walk(cache, d, _levels(cache, points), [(mask, realizers, (), (), 0)], [])
     return d, points, leaf
 
 
@@ -233,7 +241,7 @@ def greedy_run(
     cache: LdimCache | None = None,
 ) -> GreedyRun:
     """Run the greedy dimension-dropping pass; see the module docstring."""
-    d, _, (_, _, ones, zeros) = _index_run(concept_class, sample, cache)
+    d, _, (_, _, ones, zeros, _) = _index_run(concept_class, sample, cache)
     names = concept_class.domain.points
     return GreedyRun(
         tuple(names[p] for p in ones),
@@ -255,7 +263,7 @@ def compress(
     (zeros..., zeros[0], zeros[0]...), and an immediate halt repeats the
     first sample point in domain order d times.
     """
-    d, points, (_, _, ones, zeros) = _index_run(concept_class, sample, cache)
+    d, points, (_, _, ones, zeros, _) = _index_run(concept_class, sample, cache)
     tup = _pad(ones, zeros, d, points[0])
     return tuple(concept_class.domain.points[p] for p in tup)
 
@@ -314,12 +322,16 @@ def certify_scheme(
     """Compress and reconstruct every realizable sample, recording failures.
 
     Samples are restrictions of class concepts to nonempty point subsets
-    of size up to `max_sample_size` (the whole domain by default), taken
-    per subset in first-seen concept order: the leaves of the subset's
-    walk, by lowest realizer. A sample fails when it is not realizable,
-    its tuple is not d of its own points, or no reconstructor returns a
-    concept agreeing with it. Decoders are pure functions of their
-    tuple, so each is evaluated at most once per distinct tuple.
+    of size up to `max_sample_size` (the whole domain by default): the
+    leaves of the subset's walk. The subsets are searched depth first,
+    each adding one point above its parent's and resuming the parent's
+    early halts there, on an explicit stack that holds at most one leaf
+    list per subset size. A sample fails when it is not realizable, its
+    tuple is not d of its own points, or no reconstructor returns a
+    concept agreeing with it; failures are listed by subset size, then
+    subset in `combinations` order, then lowest realizer. Decoders are
+    pure functions of their tuple, so each is evaluated at most once per
+    distinct tuple.
     """
     cache, mask = _root(concept_class, cache)
     n = len(concept_class.domain)
@@ -331,44 +343,59 @@ def certify_scheme(
     bits = cache.point_bits
     names = concept_class.domain.points
     tested = 0
-    failures: list[dict[str, Any]] = []
-    for size in range(1, min(limit, n) + 1):
-        for points in combinations(range(n), size):
-            subset = sum(1 << p for p in points)
-            inside = frozenset(points).issuperset
-            leaves = _walk(cache, mask, d, points, mask)
-            # first-seen concept order: by each sample's lowest realizer
-            leaves.sort(key=lambda leaf: leaf[1] & -leaf[1])
-            tested += len(leaves)
-            for _, realizers, ones, zeros in leaves:
-                # the leaf's sample, read off its lowest realizer (a leaf
-                # with none would be a fault of the walk, reported below)
-                key = bits[(realizers & -realizers).bit_length() - 1] & subset
-                tup = _pad(ones, zeros, d, points[0])
-                problem = None
-                if not realizers:
-                    problem = "sample is not realizable by the class"
-                elif len(tup) != d:
-                    problem = f"tuple has length {len(tup)}, expected {d}"
-                elif not inside(tup):
-                    problem = "tuple uses points outside the sample"
-                else:
-                    # try first the decoder the tuple's shape names: rho_i
-                    # for a full run with i ones, and the label of the
-                    # tuple's first point for an early halt
-                    full = len(ones) + len(zeros) == d
-                    first = rhos[len(ones) if full else key >> tup[0] & 1]
-                    if (first(tup) ^ key) & subset and not any(
-                        (rho(tup) ^ key) & subset == 0 for rho in rhos
-                    ):
-                        problem = "no reconstructor recovers the sample"
-                if problem is not None:
-                    sample = {names[p]: key >> p & 1 for p in points}
-                    named = [names[p] for p in tup]
-                    failures.append({"sample": sample, "tuple": named, "reason": problem})
+    failures: list[tuple[tuple[int, tuple[int, ...], int], dict[str, Any]]] = []
+    # depth first over the subsets, each with its parent's leaves: the
+    # empty set's one leaf is the whole class, before any point is scanned
+    table = _levels(cache, range(n))
+    todo: list[tuple[tuple[int, ...], int, list[Leaf]]] = [
+        ((p,), 1 << p, [(mask, mask, (), (), 0)]) for p in reversed(range(n))
+    ]
+    while todo:
+        points, subset, parent = todo.pop()
+        leaves: list[Leaf] = []
+        halts: list[Leaf] = []
+        for leaf in parent:
+            (leaves if len(leaf[2]) + len(leaf[3]) == d else halts).append(leaf)
+        _walk(cache, d, [table[p] for p in points], halts, leaves)
+        if len(points) < limit:
+            todo.extend(
+                (points + (p,), subset | 1 << p, leaves)
+                for p in reversed(range(points[-1] + 1, n))
+            )
+        inside = frozenset(points).issuperset
+        tested += len(leaves)
+        for _, realizers, ones, zeros, _ in leaves:
+            # the leaf's sample, read off its lowest realizer (a leaf
+            # with none would be a fault of the walk, reported below)
+            key = bits[(realizers & -realizers).bit_length() - 1] & subset
+            tup = _pad(ones, zeros, d, points[0])
+            problem = None
+            if not realizers:
+                problem = "sample is not realizable by the class"
+            elif len(tup) != d:
+                problem = f"tuple has length {len(tup)}, expected {d}"
+            elif not inside(tup):
+                problem = "tuple uses points outside the sample"
+            else:
+                # try first the decoder the tuple's shape names: rho_i
+                # for a full run with i ones, and the label of the
+                # tuple's first point for an early halt
+                full = len(ones) + len(zeros) == d
+                first = rhos[len(ones) if full else key >> tup[0] & 1]
+                if (first(tup) ^ key) & subset and not any(
+                    (rho(tup) ^ key) & subset == 0 for rho in rhos
+                ):
+                    problem = "no reconstructor recovers the sample"
+            if problem is not None:
+                sample = {names[p]: key >> p & 1 for p in points}
+                named = [names[p] for p in tup]
+                failure = {"sample": sample, "tuple": named, "reason": problem}
+                failures.append(((len(points), points, realizers & -realizers), failure))
+    # by subset size, then subset, then first-seen concept
+    failures.sort(key=lambda failure: failure[0])
     return CompressionReport(
         dimension=d,
         rho_count=len(rhos),
         samples_tested=tested,
-        failures=tuple(failures),
+        failures=tuple(failure for _, failure in failures),
     )

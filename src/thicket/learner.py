@@ -364,18 +364,21 @@ def monte_carlo_trials(
 ) -> TrialSummary:
     """Run seeded independent learning trials and summarize query counts.
 
-    Trial i uses its own generator seeded with derive_seed(seed, i), so
-    any single trial can be replayed in isolation: its query count is
-    that of run_thicket_learner with that generator. The trials walk one
-    transition table and count queries without building a transcript.
+    Trial i reseeds one generator with derive_seed(seed, i), so any
+    single trial can be replayed in isolation: its query count is that of
+    run_thicket_learner with random.Random(derive_seed(seed, i)). The
+    trials walk one transition table and count queries without building
+    a transcript.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     table, mask = _start(concept_class, target, graph)
     start = table[mask]
     counts: dict[int, int] = {}
+    rng = random.Random()
+    variate = rng.getrandbits
     for i in range(trials):
-        variate = random.Random(derive_seed(seed, i)).getrandbits
+        rng.seed(derive_seed(seed, i))
         step, n = start, 1
         while step is not None:
             _, _, total, thresholds, successors = step

@@ -228,6 +228,18 @@ def ref_sample_count(patterns, limit):
     )
 
 
+def ref_samples_in_report_order(patterns, limit=None):
+    """Every realizable sample {point index: label} over the nonempty point
+    subsets of at most `limit` points (all by default), in the order a
+    compression report lists them: by subset size, then in `combinations`
+    order, then by the first pattern that realizes the sample."""
+    n = len(patterns[0])
+    for size in range(1, min(n, limit or n) + 1):
+        for subset in combinations(range(n), size):
+            for labels in dict.fromkeys(tuple(c[p] for p in subset) for c in patterns):
+                yield dict(zip(subset, labels))
+
+
 def mk_class(bitstrings, mu=None, labels=None):
     n = len(bitstrings[0])
     points = tuple(f"x{i + 1}" for i in range(n))
@@ -290,6 +302,9 @@ class StubRng:
 
     def __init__(self, value):
         self.value = value
+
+    def seed(self, seed):
+        """Reseeding leaves the variate at `value`."""
 
     def getrandbits(self, bits):
         assert bits == 64

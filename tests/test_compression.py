@@ -22,10 +22,13 @@ from helpers import (
     all_three_point_classes,
     c3,
     mk_class,
+    one_hot,
     powerset3,
+    recursion_headroom,
     ref_greedy,
     ref_ldim,
     ref_sample_count,
+    ref_samples_in_report_order,
 )
 
 
@@ -186,10 +189,12 @@ def test_certify_mixed_halt_class():
     assert report.rho_count == 4
 
 
-def test_certify_reports_failures_with_named_samples(monkeypatch):
-    def zero_decoders(cache, mask):
-        return (lambda points: 0,) * (cache.ldim_mask(mask) + 1)
+def zero_decoders(cache, mask):
+    """d + 1 decoders that all answer all zeros."""
+    return (lambda points: 0,) * (cache.ldim_mask(mask) + 1)
 
+
+def test_certify_reports_failures_with_named_samples(monkeypatch):
     monkeypatch.setattr(compression, "_index_decoders", zero_decoders)
     cc = c3()
     report = certify_scheme(cc)
@@ -213,6 +218,50 @@ def test_certify_reports_failures_with_named_samples(monkeypatch):
         assert failure["tuple"] == list(compress(cc, failure["sample"]))
 
 
+def test_certify_lists_failures_in_report_order_with_their_tuples(monkeypatch):
+    # the subsets are searched depth first, so the report must restore its
+    # order; each tuple is the single-sample walk's
+    monkeypatch.setattr(compression, "_index_decoders", zero_decoders)
+    for k in range(6):
+        n = 4 + k % 3
+        cc = random_class(random.Random(f"failure order {k}"), n, 20, n, 8)
+        names = cc.domain.points
+        expected = []
+        for sample in ref_samples_in_report_order([c.bits for c in cc.concepts]):
+            # an all-zero answer recovers exactly the samples without a label 1
+            if 1 in sample.values():
+                named = {names[p]: label for p, label in sample.items()}
+                expected.append(
+                    {
+                        "sample": named,
+                        "tuple": list(compress(cc, named)),
+                        "reason": "no reconstructor recovers the sample",
+                    }
+                )
+        assert list(certify_scheme(cc).failures) == expected
+
+
+def test_samples_tested_at_every_limit_on_deeper_domains():
+    for k in range(3):
+        cc = random_class(random.Random(f"deep limits {k}"), 10, 24, 9, 12)
+        patterns = [c.bits for c in cc.concepts]
+        n = len(cc.domain)
+        assert n >= 9
+        for limit in range(1, n + 1):
+            report = certify_scheme(cc, limit)
+            assert report.ok
+            assert report.samples_tested == ref_sample_count(patterns, limit)
+
+
+def test_certify_searches_the_subsets_without_recursion():
+    # one frame per point of a subset would overrun the budget at 12 points
+    cc = one_hot(12)
+    with recursion_headroom(15):
+        report = certify_scheme(cc)
+    assert report.ok
+    assert report.samples_tested == ref_sample_count([c.bits for c in cc.concepts], 12)
+
+
 def test_samples_tested_matches_independent_count():
     for cc in all_three_point_classes():
         patterns = [c.bits for c in cc.concepts]
@@ -223,17 +272,6 @@ def test_samples_tested_matches_independent_count():
         patterns = [c.bits for c in cc.concepts]
         limit = 2 + 2 * k
         assert certify_scheme(cc, limit).samples_tested == ref_sample_count(patterns, limit)
-
-
-def realizable_samples(patterns, limit=None):
-    """Every realizable sample {point index: label}, per nonempty point
-    subset of at most `limit` points (all by default) in first-seen
-    pattern order."""
-    n = len(patterns[0])
-    for size in range(1, min(n, limit or n) + 1):
-        for subset in combinations(range(n), size):
-            for labels in dict.fromkeys(tuple(c[p] for p in subset) for c in patterns):
-                yield dict(zip(subset, labels))
 
 
 def padded(ones, zeros, completed, sample, d):
@@ -259,7 +297,7 @@ def test_greedy_matches_reference_on_every_sample():
         d = dim(patterns)
         cache = LdimCache(cc)
         names = cc.domain.points
-        for sample in realizable_samples(patterns):
+        for sample in ref_samples_in_report_order(patterns):
             ones, zeros, completed = ref_greedy(patterns, sample, dim)
             named = {names[p]: label for p, label in sample.items()}
             assert greedy_run(cc, named, cache) == GreedyRun(
@@ -327,7 +365,7 @@ def oracle_report(patterns, names, limit, dim):
     `ref_greedy`, the documented padding and first-seen sample order."""
     d = dim(patterns)
     tested, failures = 0, []
-    for sample in realizable_samples(patterns, limit):
+    for sample in ref_samples_in_report_order(patterns, limit):
         tested += 1
         tup = padded(*ref_greedy(patterns, sample, dim), sample, d)
         labels = set(sample.values())
@@ -376,23 +414,25 @@ def test_walk_leaves_are_the_samples_with_their_realizers():
         for size in range(1, n + 1):
             for points in combinations(range(n), size):
                 subset = sum(1 << p for p in points)
-                leaves = compression._walk(cache, mask, d, points, mask)
-                groups = [realizers for _, realizers, _, _ in leaves]
+                root = [(mask, mask, (), (), 0)]
+                leaves = compression._walk(cache, d, compression._levels(cache, points), root, [])
+                groups = [realizers for _, realizers, _, _, _ in leaves]
                 assert all(groups) and sum(groups) == mask
                 keys = {bits[(g & -g).bit_length() - 1] & subset for g in groups}
                 assert len(keys) == len(leaves) == len({c & subset for c in bits})
-                for sub, realizers, ones, zeros in leaves:
+                for sub, realizers, ones, zeros, scanned in leaves:
                     key = bits[(realizers & -realizers).bit_length() - 1] & subset
                     expected = mask
                     for p in points:
                         expected &= cache.level_mask(p, key >> p & 1)
                     assert realizers == expected
                     # the leaf's class: one concept after a full run, and one
-                    # the sample is exceptional for after a halt
+                    # the sample is exceptional for after a halt, which has
+                    # scanned every point
                     keep0, keep1 = cache.keeps(sub)
                     assert realizers & sub == realizers
                     assert len(ones) + len(zeros) == d and sub == realizers or (
-                        subset & ~(keep1 & key | keep0 & ~key) == 0
+                        subset & ~(keep1 & key | keep0 & ~key) == 0 and scanned == size
                     )
                     sub, pins = mask, []
                     for _ in range(d):

@@ -182,14 +182,17 @@ def test_monte_carlo_first_query_target_draws_nothing(monkeypatch):
     first = graph.best_query(graph.cache.full_mask)
     patterns = [c.bits for c in cc.concepts]
     assert oracle_histogram(patterns, cc.domain.mu, first, 25, 6) == ((1, 25),)
-    # every trial still seeds its own generator, which must never be asked
+    # every trial still reseeds the generator, which must never be asked to draw
     seeded = []
 
-    def no_draws(seed):
-        seeded.append(seed)
-        return DrawLimit(seed, 0)
+    class NoDraws:
+        def seed(self, seed):
+            seeded.append(seed)
 
-    monkeypatch.setattr(learner, "random", SimpleNamespace(Random=no_draws))
+        def getrandbits(self, bits):
+            raise AssertionError("a trial whose first query is the target draws nothing")
+
+    monkeypatch.setattr(learner, "random", SimpleNamespace(Random=NoDraws))
     s = monte_carlo_trials(cc, cc.concepts[first], 25, 6, graph)
     assert s.histogram == ((1, 25),)
     assert seeded == [derive_seed(6, i) for i in range(25)]
@@ -202,7 +205,7 @@ def test_monte_carlo_boundary_variate_passes_to_the_next_point(monkeypatch):
     # after x1. Strict > passes to x2, which leaves only the target; x1
     # would keep c1 as well and cost one more query.
     mu = (Fraction(3, 10), Fraction(1, 5), Fraction(1, 10), Fraction(2, 5))
-    monkeypatch.setattr(learner, "random", SimpleNamespace(Random=lambda seed: StubRng(2**63)))
+    monkeypatch.setattr(learner, "random", SimpleNamespace(Random=lambda: StubRng(2**63)))
     cc = mk_class(["0000", "1001", "1110"], mu=mu)
     assert monte_carlo_trials(cc, cc.concepts[2], 7, seed=0).histogram == ((2, 7),)
     pair = mk_class(["0000", "1110"], mu=mu)
