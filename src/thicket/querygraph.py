@@ -26,12 +26,18 @@ subclass are packed into one row of fixed-width integer lanes: the
 denominators once per concept, the numerators per subclass from the
 cache's split table and mass-premultiplied lane spreads; a class whose
 rows would exceed `MAX_ROW_BITS` is refused before any is built. Query
-selection prunes a candidate with one lane-wise test against the
-incumbent's rank, and finds each new incumbent's rank with the same
-test, lane by lane. The graph reads the difference points of a concept
-pair off the XOR of the cache's point bits, memoizes the chosen query
-per subclass, and keeps the last integer edge table it built, which
-weights, ranks and every check of that subclass read.
+selection visits the members in index order, and one whose row strictly
+beats the incumbent's rank (one lane-wise test) becomes the incumbent,
+so ties keep the lowest index; the same test finds its rank lane by
+lane. The incumbent's column, lane j holding N of the edge (j, i), is
+its row plus a scalar times the all-lanes vector minus one vector per
+subclass; every remaining member whose edge into the incumbent weighs at
+most its rank is dropped unvisited, since rank(j) <= d(j, i) means it
+cannot strictly beat that rank or any later, higher one. The graph
+reads the difference points of a concept pair off the XOR of the
+cache's point bits, memoizes the chosen query per subclass, and keeps
+the last integer edge table it built, which weights, ranks and every
+check of that subclass read.
 """
 
 from __future__ import annotations
@@ -154,25 +160,34 @@ class QueryGraph:
             shift += step
         return out
 
-    def _layout(self, mask: int) -> tuple[int, int, dict[int, int]]:
+    def _layout(self, mask: int) -> tuple[int, int, dict[int, int], int]:
         """N parts of the rows of the subclass: a base, the points whose
-        majority label is 1, and a delta per split point bit.
+        majority label is 1, a delta per split point bit, and the lane
+        vector F used to turn a row into a column.
 
         A concept labeled v at a split point p reaches the members labeled
         1 - v there, each edge gaining m_p times the drop of label 1 - v in
         the cache's split table. The base is the N row of a member that
         takes the majority label at every point (elsewhere all members
         agree); a member taking the minority label at split point p adds
-        its delta.
+        its delta. F sums both label terms over the split points, so its
+        lane j is S_j = sum_p m_p * drop of label j(p), and the column of
+        concept i is row_i + S_i * all - F: lane j sums m_p * drop of label
+        i(p) over the split points p where j(p) != i(p), which is N of the
+        edge (j, i), for every root concept j. A lane of F lies in
+        [0, ldim * L] and one of the column in [0, ldim * D], within the
+        bound `__init__` sizes lanes by; only the intermediate sum is
+        negative, an exact int.
         """
         count = mask.bit_count()
-        base = 0
+        base = total = 0
         majority = self.cache.point_bits[mask.bit_length() - 1] if mask else 0
         deltas = {}
         for p, zeros, drop0, drop1 in self.cache.splits(mask):
             bit, ms0, ms1 = self._points[p]
             # rows of the members labeled 0 at p, then of those labeled 1
             from0, from1 = drop1 * ms1, drop0 * ms0
+            total += from0 + from1
             if 2 * zeros.bit_count() < count:
                 majority |= bit
                 base += from1
@@ -181,13 +196,13 @@ class QueryGraph:
                 majority &= ~bit
                 base += from0
                 deltas[bit] = from1 - from0
-        return base, majority, deltas
+        return base, majority, deltas, total
 
-    def _row(self, layout: tuple[int, int, dict[int, int]], i: int) -> tuple[int, int]:
+    def _row(self, layout: tuple[int, int, dict[int, int], int], i: int) -> tuple[int, int]:
         """Lane vectors (N, D) of concepts[i]'s edges, for a member of the
         subclass of `layout`. Lanes of concepts outside it hold bounded
         values no caller reads."""
-        num, majority, deltas = layout
+        num, majority, deltas, _ = layout
         minority = self.cache.point_bits[i] ^ majority
         while minority:
             low = minority & -minority
@@ -232,16 +247,22 @@ class QueryGraph:
         """Index of the max-min query in the subclass, lowest index on ties.
 
         A row beats the incumbent rank a/b iff every other member's lane
-        of N * b - a * D + bias has its top bit set. The first member, and
-        each later one whose row beats the incumbent, becomes the
-        incumbent, so ties keep the lower index; its rank is found lane by
-        lane, from the first other member's lane down to the lowest lane
-        strictly below the current one (top bit of a * D - N * b + bias),
-        until no lane is lighter. Each step moves to a strictly lighter
-        member lane, so an incumbent takes at most |C| - 1 steps; a search
-        that runs past them raises AssertionError. Two distinct concepts
-        weigh 1 both ways, so a subclass of one or two concepts takes its
-        lowest index.
+        of N * b - a * D + bias has its top bit set. Candidates are the
+        top bits of the members' lanes, visited in index order; the first
+        member, and each later one whose row beats the incumbent, becomes
+        the incumbent, so ties keep the lower index. Its rank is found
+        lane by lane, from the first other member's lane down to the
+        lowest lane strictly below the current one (top bit of
+        a * D - N * b + bias), until no lane is lighter. Each step moves
+        to a strictly lighter member lane, so an incumbent takes at most
+        |C| - 1 steps; a search that runs past them raises AssertionError.
+        Then the incumbent's column (see `_layout`) against its own D row,
+        D being symmetric, keeps only the candidates whose edge into it
+        weighs strictly more than a/b: rank(j) <= d(j, i), so the others
+        cannot strictly beat a/b, and ranks only rise, so each filter
+        stays valid under the later ones. Two distinct concepts weigh 1
+        both ways, so a subclass of one or two concepts takes its lowest
+        index.
         """
         if mask == 0:
             raise ValueError("no query exists for the empty class")
@@ -251,17 +272,21 @@ class QueryGraph:
         hit = self._best.get(mask)
         if hit is not None:
             return hit
-        layout, width, lane = self._layout(mask), self._width, self._lane
-        tops = self._spread(mask) << (width - 1)
-        bias = self._bias
+        (base, majority, deltas, total), bits = self._layout(mask), self.cache.point_bits
+        width, lane, bias, full = self._width, self._lane, self._bias, self._all
+        tops = todo = self._spread(mask) << (width - 1)
         best_i = a = b = -1
-        todo = mask
         while todo:
             low = todo & -todo
             todo ^= low
-            i = low.bit_length() - 1
-            nums, dens = self._row(layout, i)
-            others = tops ^ (1 << (i * width + width - 1))
+            i = low.bit_length() // width - 1
+            nums, minority = base, bits[i] ^ majority
+            while minority:
+                bit = minority & -minority
+                minority ^= bit
+                nums += deltas[bit]
+            dens = self._dens[i]
+            others = tops ^ low
             if best_i >= 0 and (nums * b - a * dens + bias) & others != others:
                 continue
             best_i = i
@@ -275,6 +300,9 @@ class QueryGraph:
                 below &= -below
             else:
                 raise AssertionError("rank search passed |C| - 1 steps; lanes are inconsistent")
+            # lane j of the column is N of the edge (j, i)
+            column = nums + (total >> i * width & lane) * full - total
+            todo &= column * b - a * dens + bias
         self._best[mask] = best_i
         return best_i
 

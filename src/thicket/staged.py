@@ -32,6 +32,7 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
 from .concepts import MAX_CLASS_POINTS, ClassValidationError, Concept, ConceptClass, Domain
@@ -480,9 +481,23 @@ def staged_trials(
     Trial i reseeds one generator with derive_seed(seed, i) and draws its
     target, then its run, from it, so any single trial can be replayed in
     isolation with random.Random(derive_seed(seed, i)).
+
+    For the interval family, stage 1 is resolved on at most the
+    MAX_CLASS_POINTS - 1 intervals the point cap allows before the first
+    draw, raising ClassValidationError when they fall short: at a tiny
+    prior ratio a draw would otherwise sum about 1 / ratio priors.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if isinstance(family, IntervalFamily):
+        try:
+            prefix_size(islice(family.priors(), MAX_CLASS_POINTS - 1), stage_epsilon(1))
+        except PriorExhaustedError:
+            raise ClassValidationError(
+                f"stage 1 needs more than {MAX_CLASS_POINTS - 1} intervals, which atomize"
+                f" to more than {MAX_CLASS_POINTS} points; at most {MAX_CLASS_POINTS}"
+                " are supported"
+            ) from None
     counts: list[int] = []
     identified = 0
     rng = random.Random()

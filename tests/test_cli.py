@@ -220,7 +220,24 @@ def test_staged_prefix_past_the_point_cap_exits_3():
     )
     assert proc.returncode == 3
     assert not proc.stdout
-    assert "693 intervals atomizes to 694 points; at most 256" in proc.stderr
+    assert "stage 1 needs more than 255 intervals" in proc.stderr
+    assert "at most 256 are supported" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_staged_tiny_prior_ratio_exits_3_before_drawing():
+    # stage 1 at ratio 1/1000000 needs about 1.4 million intervals; a
+    # target draw alone would sum hundreds of thousands of priors
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "thicket.cli", "staged", "--prior-geometric", "1/1000000",
+         "--trials", "5"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 3
+    assert not proc.stdout
+    assert "stage 1 needs more than 255 intervals" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -181,6 +181,64 @@ def test_rank_with_a_minimum_tied_across_lanes_of_different_terms(oracle):
     assert graph.best_query(mask) == oracle.ref_max_min(patterns, mu) == 2
 
 
+class _Reads(list):
+    """A list that records the indices read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = []
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+def _ref_visits(oracle, sub, mu, ranks):
+    """The members whose rows the pruned scan builds: in index order,
+    skipping every member whose edge into an incumbent weighs at most
+    that incumbent's rank."""
+    best, visited, pruned = None, [], set()
+    for j in range(len(sub)):
+        if j in pruned:
+            continue
+        visited.append(j)
+        if best is None or ranks[j] > ranks[best]:
+            best = j
+            pruned |= {
+                k for k in range(j + 1, len(sub))
+                if oracle.ref_edge_weight(sub, mu, k, j) <= ranks[j]
+            }
+    return visited
+
+
+@pytest.mark.parametrize("mu", [None, (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))])
+def test_max_min_ties_and_pruning_on_every_three_point_subclass(oracle, mu):
+    # a member whose edge into an incumbent equals the incumbent's rank
+    # cannot strictly beat it, so the scan drops it unvisited and the
+    # lower index keeps the tie; `_dens` is read once per visited member
+    boundary = 0
+    weights = mu or [Fraction(1, 3)] * 3
+    for cc in all_three_point_classes():
+        cc = mk_class(_bits(c.bits for c in cc.concepts), mu=mu)
+        graph = QueryGraph(cc)
+        graph._dens = _Reads(graph._dens)
+        for mask in range(1, graph.cache.full_mask + 1):
+            members = _members(mask)
+            sub = [cc.concepts[i].bits for i in members]
+            best = oracle.ref_max_min(sub, weights)
+            del graph._dens.read[:]
+            assert graph.best_query(mask) == members[best], (cc.concepts, mask)
+            if len(members) > 2:
+                ranks = [oracle.ref_rank(sub, weights, a) for a in range(len(sub))]
+                visits = _ref_visits(oracle, sub, weights, ranks)
+                assert graph._dens.read == [members[j] for j in visits], (cc.concepts, mask)
+                boundary += any(
+                    oracle.ref_edge_weight(sub, weights, k, best) == ranks[best]
+                    for k in range(best + 1, len(sub))
+                )
+    assert boundary > 0
+
+
 def block_class(blocks):
     """Disjoint blocks of 4 concepts on 3 points: an indicator point, on
     in the block's concepts only, and two points they shatter."""

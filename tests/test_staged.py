@@ -10,6 +10,7 @@ from thicket import (
     IntervalFamily,
     PriorExhaustedError,
     QueryGraph,
+    StagedResult,
     drop,
     ldim,
     negative_feedback_probability,
@@ -389,6 +390,24 @@ def test_interval_prefix_past_the_point_cap_raises_before_atomizing():
     assert len(fam.atomize(list(range(255))).cls.domain) == 256
     with pytest.raises(ClassValidationError, match="at most 256 are supported"):
         fam.atomize(list(range(256)))
+
+
+def test_interval_trials_check_stage_one_against_the_point_cap_before_drawing(monkeypatch):
+    runs = []
+
+    def run(family, target, rng, stage_cap):
+        runs.append(target)
+        return StagedResult(True, 1, 1, ())
+
+    monkeypatch.setattr("thicket.staged.run_staged_learner", run)
+    # stage 1 needs 255 intervals at ratio 1/184 and 256 at ratio 1/185
+    assert staged_trials(IntervalFamily(Fraction(1, 184)), 3, 0).identified == 3
+    assert len(runs) == 3
+    past = IntervalFamily(Fraction(1, 185))
+    with pytest.raises(ClassValidationError, match="stage 1 needs more than 255 intervals"):
+        staged_trials(past, 3, 0)
+    assert not past._cumulative and not past._graphs
+    assert len(runs) == 3
 
 
 def test_interval_prefixes_atomized_once_each():
