@@ -258,20 +258,20 @@ def _class_document(cc: ConceptClass) -> str:
 def _drop_sums(cache: LdimCache, mask: int) -> list[int]:
     """Per point p, drop(C, ., p) at label 0 plus at label 1: a pair split
     at p takes both labels there, so this is the drop sum of every such pair.
-    An empty side loses ldim + 1, since ldim_mask(0) is -1."""
-    ldim, side = cache.ldim_mask, cache.restrict_mask
-    d = ldim(mask)
-    return [
-        2 * d - ldim(side(mask, p, 0)) - ldim(side(mask, p, 1))
-        for p in range(len(cache.root.domain))
-    ]
+    It is drop0 + drop1 of the split table at a split point; elsewhere one
+    side keeps the class and the empty one loses ldim + 1, since
+    ldim_mask(0) is -1."""
+    sums = [cache.ldim_mask(mask) + 1] * len(cache.root.domain)
+    for p, _, drop0, drop1 in cache.splits(mask):
+        sums[p] = drop0 + drop1
+    return sums
 
 
 def _verify_one(cc: ConceptClass, max_cycle_len: int) -> list[dict[str, Any]]:
     """All exact property checks for one class; returns violations."""
     problems: list[dict[str, Any]] = []
-    cache = LdimCache(cc)
-    graph = QueryGraph(cc, cache)
+    graph = QueryGraph(cc)
+    cache = graph.cache
     mask = cache.full_mask
     d = cache.ldim_mask(mask)
     n = len(cc)

@@ -7,22 +7,24 @@ of hypothesis and target, revealing the target's label there. The
 learner keeps only the concepts consistent with that label and repeats.
 
 Every random draw takes one 64-bit uniform variate r and compares
-integers: with the weights scaled to integer masses of total D, it
-picks the first index whose running mass acc has acc * 2**64 > r * D,
-the decision acc > (r / 2**64) * D makes in the dyadic rationals. So
-sampling is reproducible across platforms and exact up to 2**-64.
+integers: with the weights scaled to integer masses whose running sums
+end in the total D, it picks the first index whose running mass acc
+exceeds r * D >> 64. For integers, acc > r * D >> 64 holds exactly when
+acc * 2**64 > r * D, the decision acc > (r / 2**64) * D makes in the
+dyadic rationals. So sampling is reproducible across platforms and
+exact up to 2**-64.
 
 The learner draws on the query graph's masses, mu scaled once, through
 a transition table kept per target and filled only for the subclasses a
 run reaches. An entry says that the teacher confirms there, or holds
-the query, its difference points with the target, their thresholds
-acc * 2**64 and the subclass each counterexample leaves; a draw is one
-bisection of r * D into the thresholds. A Monte Carlo trial walks the
+the query, its difference points with the target, their running masses
+and the subclass each counterexample leaves; a draw is one bisection of
+r * D >> 64 into the running masses. A Monte Carlo trial walks the
 table and counts queries, building no object, and every trial of a
 call shares the table. Exact expected query counts come from a dynamic
-program over the same table, not from simulation; it walks the reachable
-subclasses on an explicit stack, so no recursion depth grows with the
-class.
+program over the same table, reading D as the last running mass, not
+from simulation; it walks the reachable subclasses on an explicit
+stack, so no recursion depth grows with the class.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Any, Mapping, Sequence
 
 from .concepts import Concept, ConceptClass, Domain
@@ -104,25 +107,21 @@ def unit_variate(rng: random.Random) -> Fraction:
 def sample_index(weights: Sequence[Fraction], rng: random.Random) -> int:
     """Draw an index with probability proportional to its exact weight.
 
-    The weights are scaled by their least common denominator to integer
-    masses of total D, which leaves every comparison unchanged, and one
-    variate r picks the first index whose running mass acc has
-    acc * 2**64 > r * D.
+    The weights, which must be nonnegative, are scaled by their least
+    common denominator to integer masses, which leaves every comparison
+    unchanged, and one variate r picks the first index whose running mass
+    exceeds r * D >> 64, for D the total.
     """
     if not weights:
         raise ValueError("cannot sample from an empty weight sequence")
     scale = math.lcm(*(w.denominator for w in weights))
     masses = [w.numerator * (scale // w.denominator) for w in weights]
-    total = sum(masses)
-    if total <= 0:
+    if min(masses) < 0:
+        raise ValueError("weights must be nonnegative")
+    running = list(accumulate(masses))
+    if running[-1] == 0:
         raise ValueError("weights must have positive total mass")
-    threshold = rng.getrandbits(64) * total
-    acc = 0
-    for i, m in enumerate(masses):
-        acc += m
-        if acc << 64 > threshold:
-            return i
-    return len(masses) - 1
+    return bisect_right(running, rng.getrandbits(64) * running[-1] >> 64)
 
 
 def teacher_respond(
@@ -152,9 +151,9 @@ def teacher_respond(
 
 
 # a transition: the query, its ascending difference points with the
-# target, their integer mass D, the thresholds acc_k << 64 of the running
-# masses, and the subclass each point's counterexample leaves
-_Step = tuple[int, tuple[int, ...], int, list[int], list[int]]
+# target, their running masses, the last being their mass D, and the
+# subclass each point's counterexample leaves
+_Step = tuple[int, tuple[int, ...], list[int], list[int]]
 
 
 class _Transitions(dict[int, "_Step | None"]):
@@ -163,12 +162,11 @@ class _Transitions(dict[int, "_Step | None"]):
 
     `table[mask]` is None when the max-min query of the subclass is the
     target, so the teacher confirms; otherwise it is the subclass's
-    _Step. A counterexample is `successors[k]` for k the first threshold
-    above r * D, i.e. the first point with acc << 64 > r * D: the same
-    decision as `sample_index`, with equality passing to the next point. Masses
-    are positive, so D > 0 and the last threshold D << 64 exceeds every
-    r * D. Concepts are distinct, so a query other than the target always
-    leaves a difference to draw from.
+    _Step. A counterexample is `successors[k]` for k the first point whose
+    running mass exceeds r * D >> 64, the decision of `sample_index`, with
+    equality passing to the next point. Masses are positive, so D > 0 and
+    exceeds every r * D >> 64. Concepts are distinct, so a query other
+    than the target always leaves a difference to draw from.
     """
 
     def __init__(self, graph: QueryGraph, t: int) -> None:
@@ -181,13 +179,12 @@ class _Transitions(dict[int, "_Step | None"]):
         q = graph.best_query(mask)
         step = None
         if q != t:
-            points, total = graph.diff_mass(q, t)
-            acc, thresholds = 0, []
+            points, running, acc = graph.diff_points(q, t), [], 0
             for p in points:
                 acc += graph.mass[p]
-                thresholds.append(acc << 64)
+                running.append(acc)
             restrict = graph.cache.restrict_mask
-            step = (q, points, total, thresholds, [restrict(mask, p, bits[p]) for p in points])
+            step = (q, points, running, [restrict(mask, p, bits[p]) for p in points])
         self[mask] = step
         return step
 
@@ -225,8 +222,8 @@ def run_thicket_learner(
         if step is None:
             entries.append((root.concepts[t], TeacherResponse()))
             return Transcript(tuple(entries))
-        q, diff, total, thresholds, successors = step
-        k = bisect_right(thresholds, rng.getrandbits(64) * total)
+        q, diff, running, successors = step
+        k = bisect_right(running, rng.getrandbits(64) * running[-1] >> 64)
         p = diff[k]
         entries.append((root.concepts[q], TeacherResponse(points[p], bits[p])))
         mask = successors[k]
@@ -263,10 +260,10 @@ def exact_expected_queries(
         if step is not None:
             # mu conditioned on the difference is mass[p] / D in the graph's
             # integers: 1 + sum of mass[p] * E(sub) / D, over one denominator
-            _, points, total, _, successors = step
+            _, points, running, successors = step
             values = [memo[sub] for sub in successors]
             scale = math.lcm(*[d for _, d in values])
-            den = scale * total
+            den = scale * running[-1]
             num = den + sum([mass[p] * n * (scale // d) for p, (n, d) in zip(points, values)])
             g = math.gcd(num, den)
             memo[mask] = (num // g, den // g)
@@ -278,7 +275,7 @@ def exact_expected_queries(
             memo[mask] = (1, 1)
             continue
         stack.append((mask, step))
-        stack.extend((sub, None) for sub in reversed(step[4]) if sub not in memo)
+        stack.extend((sub, None) for sub in reversed(step[3]) if sub not in memo)
     return Fraction(*memo[start])
 
 
@@ -381,8 +378,8 @@ def monte_carlo_trials(
         rng.seed(derive_seed(seed, i))
         step, n = start, 1
         while step is not None:
-            _, _, total, thresholds, successors = step
-            step = table[successors[bisect_right(thresholds, variate(64) * total)]]
+            _, _, running, successors = step
+            step = table[successors[bisect_right(running, variate(64) * running[-1] >> 64)]]
             n += 1
         counts[n] = counts.get(n, 0) + 1
     return TrialSummary(

@@ -25,19 +25,21 @@ and returns them as Fractions. Each concept's outgoing edges within a
 subclass are packed into one row of fixed-width integer lanes: the
 denominators once per concept, the numerators per subclass from the
 cache's split table and mass-premultiplied lane spreads; a class whose
-rows would exceed `MAX_ROW_BITS` is refused before any is built. Query
-selection visits the members in index order, and one whose row strictly
-beats the incumbent's rank (one lane-wise test) becomes the incumbent,
-so ties keep the lowest index; the same test finds its rank lane by
-lane. The incumbent's column, lane j holding N of the edge (j, i), is
-its row plus a scalar times the all-lanes vector minus one vector per
-subclass; every remaining member whose edge into the incumbent weighs at
-most its rank is dropped unvisited, since rank(j) <= d(j, i) means it
-cannot strictly beat that rank or any later, higher one. The graph
-reads the difference points of a concept pair off the XOR of the
-cache's point bits, memoizes the chosen query per subclass, and keeps
-the last integer edge table it built, which weights, ranks and every
-check of that subclass read.
+rows would exceed `MAX_ROW_BITS` is refused before any is built. One
+method builds a row (`_row`) and one finds a row's rank (`_rank`, lane
+by lane with the same lane-wise test): `weight` reads one lane of a
+row, `rank` searches one row, and query selection visits the members in
+index order, one whose row strictly beats the incumbent's rank (one
+lane-wise test) becoming the incumbent, so ties keep the lowest index.
+The incumbent's column, lane j holding N of the edge (j, i), is its row
+plus a scalar times the all-lanes vector minus one vector per subclass;
+every remaining member whose edge into the incumbent weighs at most its
+rank is dropped unvisited, since rank(j) <= d(j, i) means it cannot
+strictly beat that rank or any later, higher one. The graph reads the
+difference points of a concept pair off the XOR of the cache's point
+bits, memoizes the chosen query per subclass, and keeps the last
+integer edge table it built, which `verify`'s checks and
+:func:`find_deficient_cycle` read.
 """
 
 from __future__ import annotations
@@ -86,12 +88,11 @@ class QueryGraph:
     label, each a drop of the split table times a premultiplied spread
     m_p * s_v. Query selection tests a whole row against the incumbent's
     rank in one lane-wise comparison, and a Fraction is built only when
-    a weight or rank leaves the class.
+    a weight or rank leaves the class. The graph builds its root's
+    LdimCache, `cache`, which callers that need one share.
     """
 
-    def __init__(self, root: ConceptClass, cache: LdimCache | None = None) -> None:
-        if cache is not None and cache.root != root:
-            raise ValueError("cache was built for a different root class")
+    def __init__(self, root: ConceptClass) -> None:
         mu = [Fraction(w) for w in root.domain.mu]
         scale = math.lcm(*(w.denominator for w in mu))
         # Every lane obeys N <= ldim * D and D <= L, an incumbent's (a, b)
@@ -108,7 +109,7 @@ class QueryGraph:
                 f" times {width}-bit lanes) exceed {MAX_ROW_BITS}"
             )
         self.root = root
-        self.cache = cache if cache is not None else LdimCache(root)
+        self.cache = LdimCache(root)
         #: integer point masses m_p = mu(p) * L, shared with the learner's draws
         self.mass = [w.numerator * (scale // w.denominator) for w in mu]
         self._lane = (1 << width) - 1
@@ -227,21 +228,47 @@ class QueryGraph:
         return self._edges[1]
 
     def weight(self, mask: int, i: int, j: int) -> Fraction:
-        """d(concepts[i], concepts[j]) within the subclass `mask`; both
-        must be members."""
+        """d(concepts[i], concepts[j]) within the subclass `mask`, read off
+        lane j of concepts[i]'s row; both must be members."""
         if i == j:
             raise ValueError("edge weight is undefined for identical concepts")
         if not mask >> i & mask >> j & 1:
             raise ValueError("concept is not a member of the subclass")
-        return Fraction(*self.edges(mask)[i, j])
+        nums, dens = self._row(self._layout(mask), i)
+        shift = j * self._width
+        return Fraction(nums >> shift & self._lane, dens >> shift & self._lane)
 
     def rank(self, mask: int, i: int) -> Fraction | float:
-        """Minimum outgoing weight of member concepts[i]; +inf when it is
-        alone."""
+        """Minimum outgoing weight of member concepts[i], found by `_rank`
+        on its row; +inf when it is alone."""
         if not mask >> i & 1:
             raise ValueError("concept is not a member of the subclass")
-        out = (Fraction(*edge) for (k, _), edge in self.edges(mask).items() if k == i)
-        return min(out, default=math.inf)
+        others = self._spread(mask ^ 1 << i) << (self._width - 1)
+        if not others:
+            return math.inf
+        return Fraction(*self._rank(*self._row(self._layout(mask), i), others, mask.bit_count()))
+
+    def _rank(self, nums: int, dens: int, others: int, count: int) -> tuple[int, int]:
+        """Integer (N, D) of the lightest lane of the row (nums, dens) among
+        the lane top bits `others`, nonempty, of a subclass of `count`
+        members.
+
+        The search starts at the lowest lane of `others` and jumps to the
+        lowest lane strictly below the current one, the lowest top bit of
+        a * D - N * b + bias, until no lane is lighter. Each step moves to
+        a strictly lighter lane, so it takes at most count - 1 of them; a
+        search that runs past them raises AssertionError.
+        """
+        width, lane, bias = self._width, self._lane, self._bias
+        below = others & -others
+        for _ in range(count):
+            if not below:
+                return a, b
+            shift = below.bit_length() - width
+            a, b = nums >> shift & lane, dens >> shift & lane
+            below = (a * dens - nums * b + bias) & others
+            below &= -below
+        raise AssertionError("rank search passed |C| - 1 steps; lanes are inconsistent")
 
     def best_query(self, mask: int) -> int:
         """Index of the max-min query in the subclass, lowest index on ties.
@@ -250,19 +277,14 @@ class QueryGraph:
         of N * b - a * D + bias has its top bit set. Candidates are the
         top bits of the members' lanes, visited in index order; the first
         member, and each later one whose row beats the incumbent, becomes
-        the incumbent, so ties keep the lower index. Its rank is found
-        lane by lane, from the first other member's lane down to the
-        lowest lane strictly below the current one (top bit of
-        a * D - N * b + bias), until no lane is lighter. Each step moves
-        to a strictly lighter member lane, so an incumbent takes at most
-        |C| - 1 steps; a search that runs past them raises AssertionError.
-        Then the incumbent's column (see `_layout`) against its own D row,
-        D being symmetric, keeps only the candidates whose edge into it
-        weighs strictly more than a/b: rank(j) <= d(j, i), so the others
-        cannot strictly beat a/b, and ranks only rise, so each filter
-        stays valid under the later ones. Two distinct concepts weigh 1
-        both ways, so a subclass of one or two concepts takes its lowest
-        index.
+        the incumbent, so ties keep the lower index, and `_rank` finds its
+        rank. Then the incumbent's column (see `_layout`) against its own
+        D row, D being symmetric, keeps only the candidates whose edge
+        into it weighs strictly more than a/b: rank(j) <= d(j, i), so the
+        others cannot strictly beat a/b, and ranks only rise, so each
+        filter stays valid under the later ones. Two distinct concepts
+        weigh 1 both ways, so a subclass of one or two concepts takes its
+        lowest index.
         """
         if mask == 0:
             raise ValueError("no query exists for the empty class")
@@ -272,34 +294,21 @@ class QueryGraph:
         hit = self._best.get(mask)
         if hit is not None:
             return hit
-        (base, majority, deltas, total), bits = self._layout(mask), self.cache.point_bits
-        width, lane, bias, full = self._width, self._lane, self._bias, self._all
+        layout = self._layout(mask)
+        width, lane, bias, full, total = self._width, self._lane, self._bias, self._all, layout[3]
+        row, rank = self._row, self._rank
         tops = todo = self._spread(mask) << (width - 1)
         best_i = a = b = -1
         while todo:
             low = todo & -todo
             todo ^= low
             i = low.bit_length() // width - 1
-            nums, minority = base, bits[i] ^ majority
-            while minority:
-                bit = minority & -minority
-                minority ^= bit
-                nums += deltas[bit]
-            dens = self._dens[i]
+            nums, dens = row(layout, i)
             others = tops ^ low
             if best_i >= 0 and (nums * b - a * dens + bias) & others != others:
                 continue
             best_i = i
-            below = others & -others
-            for _ in range(count):
-                if not below:
-                    break
-                shift = below.bit_length() - width
-                a, b = nums >> shift & lane, dens >> shift & lane
-                below = (a * dens - nums * b + bias) & others
-                below &= -below
-            else:
-                raise AssertionError("rank search passed |C| - 1 steps; lanes are inconsistent")
+            a, b = rank(nums, dens, others, count)
             # lane j of the column is N of the edge (j, i)
             column = nums + (total >> i * width & lane) * full - total
             todo &= column * b - a * dens + bias

@@ -89,8 +89,8 @@ def _reached(patterns, mu, targets):
     """Cache, graph, the subclasses the exact DP expands for each target,
     and the masks the DP and the keep tables ask ldim of."""
     cc = mk_class(_bits(patterns), mu=mu)
-    cache = LdimCache(cc)
-    graph = QueryGraph(cc, cache)
+    graph = QueryGraph(cc)
+    cache = graph.cache
     asked, expanded = set(), set()
     real_ldim, real_best = cache.ldim_mask, graph.best_query
 
@@ -400,8 +400,13 @@ cc = random_class(random.Random(derive_seed(0, 0)), 8, 40, 8, 40)
 graph = QueryGraph(cc)
 rng = random.Random(0)
 for _ in range(100):
-    graph.best_query(rng.getrandbits(len(cc)))
 """
+
+# the two callers of the rank search, each on 100 drawn subclasses
+RANK_SEARCHES = [
+    "    graph.best_query(rng.getrandbits(len(cc)))\n",
+    "    graph.rank(rng.getrandbits(len(cc)) | 1, 0)\n",
+]
 
 
 def test_rank_search_on_inconsistent_lanes_fails_instead_of_spinning():
@@ -410,9 +415,10 @@ def test_rank_search_on_inconsistent_lanes_fails_instead_of_spinning():
     # the search would otherwise loop on the first subclass drawn
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run(
-        [sys.executable, "-c", COLLIDING_SPREAD],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
-    assert proc.returncode == 1
-    assert "AssertionError: rank search passed |C| - 1 steps" in proc.stderr
+    for call in RANK_SEARCHES:
+        proc = subprocess.run(
+            [sys.executable, "-c", COLLIDING_SPREAD + call],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 1, call
+        assert "AssertionError: rank search passed |C| - 1 steps" in proc.stderr, call

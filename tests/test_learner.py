@@ -64,6 +64,18 @@ def test_sample_index_splits_on_cumulative_mass():
     assert sample_index(weights, high) == 1
 
 
+def test_sample_index_rejects_negative_weights():
+    # a positive total is not enough: the running masses must not fall,
+    # or the draw is not proportional to the weights
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_index([Fraction(1, 2), Fraction(-1, 4), Fraction(3, 4)], random.Random(0))
+    with pytest.raises(ValueError, match="positive total"):
+        sample_index([Fraction(0), Fraction(0)], random.Random(0))
+    # a zero weight is allowed and never drawn
+    weights = [Fraction(1), Fraction(0), Fraction(1)]
+    assert {sample_index(weights, random.Random(s)) for s in range(50)} == {0, 2}
+
+
 def steps(cc, transcript):
     """A transcript as (query index, point index, label) steps, the form
     of `ref_learner_run`."""

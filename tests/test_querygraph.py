@@ -8,7 +8,7 @@ import pytest
 
 from thicket import ClassValidationError, QueryGraph, edge_weight, find_deficient_cycle
 from thicket import querygraph
-from thicket.generate import random_classes
+from thicket.generate import random_class, random_classes
 
 from helpers import (
     c3,
@@ -275,6 +275,41 @@ def test_weight_and_rank_take_members_only():
         graph.weight(0b011, 0, 2)
     with pytest.raises(ValueError):
         graph.rank(0b011, 2)
+
+
+def test_weight_and_rank_on_a_fresh_mask_build_one_row(monkeypatch):
+    # each reads one member's row of a subclass the graph has not seen;
+    # neither builds nor reads the subclass's edge table
+    cc = random_class(random.Random("one row"), 10, 64, 10, 64)
+    assert len(cc) == 64
+    patterns, mu = [c.bits for c in cc.concepts], cc.domain.mu
+    rows, real_row = [], QueryGraph._row
+
+    def row(self, layout, i):
+        rows.append(i)
+        return real_row(self, layout, i)
+
+    def edges(self, mask):
+        raise AssertionError("weight and rank read one row, not the edge table")
+
+    monkeypatch.setattr(QueryGraph, "_row", row)
+    monkeypatch.setattr(QueryGraph, "edges", edges)
+    graph = QueryGraph(cc)
+    rng = random.Random("fresh masks")
+    seen = set()
+    for k in range(40):
+        members = sorted(rng.sample(range(64), rng.randint(3, 6)))
+        mask = sum(1 << i for i in members)
+        assert mask not in seen
+        seen.add(mask)
+        sub = [patterns[i] for i in members]
+        a, b = rng.sample(range(len(members)), 2)
+        rows.clear()
+        if k % 2:
+            assert graph.rank(mask, members[a]) == ref_rank(sub, mu, a)
+        else:
+            assert graph.weight(mask, members[a], members[b]) == ref_edge_weight(sub, mu, a, b)
+        assert rows == [members[a]]
 
 
 def test_graph_refuses_rows_over_the_budget(monkeypatch):
