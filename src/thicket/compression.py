@@ -49,10 +49,9 @@ tuple's shape names.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from .concepts import ClassValidationError, Concept, ConceptClass, PartialAssignment
+from .concepts import ClassValidationError, Concept, ConceptClass, PartialAssignment, _set, _Value
 from .littlestone import LdimCache, _cache_for
 
 __all__ = [
@@ -220,8 +219,7 @@ def _index_run(
     return d, points, leaf
 
 
-@dataclass(frozen=True)
-class GreedyRun:
+class GreedyRun(_Value):
     """Outcome of the greedy restriction pass over one sample.
 
     `ones` and `zeros` list the pinned points carrying labels 1 and 0,
@@ -230,9 +228,13 @@ class GreedyRun:
     sample, possibly immediately).
     """
 
-    ones: tuple[str, ...]
-    zeros: tuple[str, ...]
-    completed: bool
+    __match_args__ = ("ones", "zeros", "completed")
+    __slots__ = __match_args__
+
+    def __init__(self, ones: tuple[str, ...], zeros: tuple[str, ...], completed: bool) -> None:
+        _set(self, "ones", ones)
+        _set(self, "zeros", zeros)
+        _set(self, "completed", completed)
 
 
 def greedy_run(
@@ -292,14 +294,23 @@ def build_reconstructors(concept_class: ConceptClass) -> tuple[Reconstructor, ..
     return tuple(named(decode) for decode in decoders)
 
 
-@dataclass(frozen=True)
-class CompressionReport:
+class CompressionReport(_Value):
     """Result of replaying a class's full finite-sample universe."""
 
-    dimension: int
-    rho_count: int
-    samples_tested: int
-    failures: tuple[dict[str, Any], ...] = field(default=())
+    __match_args__ = ("dimension", "rho_count", "samples_tested", "failures")
+    __slots__ = __match_args__
+
+    def __init__(
+        self,
+        dimension: int,
+        rho_count: int,
+        samples_tested: int,
+        failures: tuple[dict[str, Any], ...] = (),
+    ) -> None:
+        _set(self, "dimension", dimension)
+        _set(self, "rho_count", rho_count)
+        _set(self, "samples_tested", samples_tested)
+        _set(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -61,23 +60,69 @@ class DomainMismatchError(ValueError):
     """An operation mixed points or concepts from different domains."""
 
 
-@dataclass(frozen=True)
-class Domain:
+_set = object.__setattr__
+
+
+class _Value:
+    """Shared behaviour of the package's immutable value types.
+
+    A subclass names its fields in ``__match_args__``, holds them in
+    ``__slots__`` and stores them with ``_set`` from a hand-written
+    ``__init__``. Instances compare equal only to instances of the same
+    class with equal fields, identity first; equal values hash alike,
+    over the field tuple; the repr is ``Name(field=value, ...)``; and
+    assignment and deletion raise AttributeError. Copies and pickles
+    call the constructor again, so they pass its validation.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Domain(_Value):
     """Ordered finite point set with strictly positive weights summing to 1."""
 
-    points: tuple[str, ...]
-    mu: tuple[Fraction, ...]
+    __match_args__ = ("points", "mu")
+    __slots__ = (*__match_args__, "_pos")
 
-    def __post_init__(self) -> None:
-        if len(set(self.points)) != len(self.points):
+    def __init__(self, points: tuple[str, ...], mu: tuple[Fraction, ...]) -> None:
+        if len(set(points)) != len(points):
             raise ClassValidationError("point identifiers must be unique")
-        if len(self.mu) != len(self.points):
+        if len(mu) != len(points):
             raise ClassValidationError("need exactly one weight per point")
-        if any(w <= 0 for w in self.mu):
+        if any(w <= 0 for w in mu):
             raise ClassValidationError("every point weight must be strictly positive")
-        if sum(self.mu, Fraction(0)) != 1:
+        if sum(mu, Fraction(0)) != 1:
             raise ClassValidationError("point weights must sum to exactly 1")
-        object.__setattr__(self, "_pos", {p: i for i, p in enumerate(self.points)})
+        _set(self, "points", points)
+        _set(self, "mu", mu)
+        _set(self, "_pos", {p: i for i, p in enumerate(points)})
 
     @classmethod
     def uniform(cls, points: Iterable[str]) -> "Domain":
@@ -91,23 +136,24 @@ class Domain:
 
     def index(self, point: str) -> int:
         try:
-            return self._pos[point]  # type: ignore[attr-defined]
+            return self._pos[point]
         except KeyError:
             raise DomainMismatchError(f"unknown point identifier {point!r}") from None
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(_Value):
     """Total boolean labeling of a domain, stored in domain point order."""
 
-    domain: Domain
-    bits: tuple[int, ...]
+    __match_args__ = ("domain", "bits")
+    __slots__ = __match_args__
 
-    def __post_init__(self) -> None:
-        if len(self.bits) != len(self.domain):
+    def __init__(self, domain: Domain, bits: tuple[int, ...]) -> None:
+        if len(bits) != len(domain.points):
             raise ClassValidationError("a concept must label every domain point")
-        if self.bits.count(0) + self.bits.count(1) != len(self.bits):
+        if bits.count(0) + bits.count(1) != len(bits):
             raise ClassValidationError("concept labels must be 0 or 1")
+        _set(self, "domain", domain)
+        _set(self, "bits", bits)
 
     @classmethod
     def from_bitstring(cls, domain: Domain, text: str) -> "Concept":
@@ -122,8 +168,7 @@ class Concept:
         return "".join(str(b) for b in self.bits)
 
 
-@dataclass(frozen=True)
-class ConceptClass:
+class ConceptClass(_Value):
     """Ordered collection of distinct concepts over one shared domain.
 
     Order is canonical: it fixes every lowest-index tie-break downstream
@@ -132,35 +177,42 @@ class ConceptClass:
     with an empty "concepts" object.
     """
 
-    domain: Domain
-    concepts: tuple[Concept, ...]
-    labels: tuple[str, ...] | None = None
+    __match_args__ = ("domain", "concepts", "labels")
+    __slots__ = (*__match_args__, "_where")
 
-    def __post_init__(self) -> None:
-        for c in self.concepts:
-            if c.domain != self.domain:
+    def __init__(
+        self,
+        domain: Domain,
+        concepts: tuple[Concept, ...],
+        labels: tuple[str, ...] | None = None,
+    ) -> None:
+        for c in concepts:
+            if c.domain != domain:
                 raise DomainMismatchError("concept defined over a different domain")
-        seen = {c.bits for c in self.concepts}
-        if len(seen) != len(self.concepts):
+        where = {c.bits: i for i, c in enumerate(concepts)}
+        if len(where) != len(concepts):
             raise ClassValidationError("duplicate concepts in class")
-        if self.labels is not None:
-            if len(self.labels) != len(self.concepts):
+        if labels is not None:
+            if len(labels) != len(concepts):
                 raise ClassValidationError("need exactly one label per concept")
-            if len(set(self.labels)) != len(self.labels):
+            if len(set(labels)) != len(labels):
                 raise ClassValidationError("concept labels must be unique")
-        object.__setattr__(self, "_where", {c.bits: i for i, c in enumerate(self.concepts)})
+        _set(self, "domain", domain)
+        _set(self, "concepts", concepts)
+        _set(self, "labels", labels)
+        _set(self, "_where", where)
 
     def __len__(self) -> int:
         return len(self.concepts)
 
     def __contains__(self, concept: Concept) -> bool:
-        return concept.domain == self.domain and concept.bits in self._where  # type: ignore[attr-defined]
+        return concept.domain == self.domain and concept.bits in self._where
 
     def index_of(self, concept: Concept) -> int:
         if concept.domain != self.domain:
             raise DomainMismatchError("concept defined over a different domain")
         try:
-            return self._where[concept.bits]  # type: ignore[attr-defined]
+            return self._where[concept.bits]
         except KeyError:
             raise ValueError("concept is not a member of the class") from None
 
@@ -206,11 +258,25 @@ def _parse_weight(text: object, what: str) -> Fraction:
         raise ClassFileError(f"malformed {what} {text!r}") from None
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object's dict, refusing a key that appears twice in it."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ClassFileError(f"duplicate key {key!r} in class file")
+            seen.add(key)
+    return obj
+
+
 def load_class_with_prior(data: bytes | str) -> tuple[ConceptClass, tuple[Fraction, ...] | None]:
     """Parse a class file, returning the class and its optional prior.
 
     The prior ("tau") assigns one nonnegative rational to each concept,
     summing to at most 1; a sum below 1 marks a truncated enumeration.
+    A key repeated within any JSON object of the file is an error, not a
+    silent overwrite.
     """
     if isinstance(data, bytes):
         try:
@@ -218,7 +284,7 @@ def load_class_with_prior(data: bytes | str) -> tuple[ConceptClass, tuple[Fracti
         except UnicodeDecodeError as exc:
             raise ClassFileError(f"class file is not UTF-8: {exc}") from None
     try:
-        raw = json.loads(data)
+        raw = json.loads(data, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ClassFileError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):

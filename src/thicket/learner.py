@@ -29,16 +29,14 @@ stack, so no recursion depth grows with the class.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from .concepts import Concept, ConceptClass, Domain
+from .concepts import Concept, ConceptClass, Domain, _set, _Value
 from .querygraph import QueryGraph
 
 __all__ = [
@@ -56,8 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TeacherResponse:
+class TeacherResponse(_Value):
     """Either an equivalence confirmation or one labeled counterexample.
 
     `point` is None exactly for the confirmation; otherwise it is a
@@ -66,23 +63,30 @@ class TeacherResponse:
     at that point.
     """
 
-    point: Any = None
-    label: int | None = None
+    __match_args__ = ("point", "label")
+    __slots__ = __match_args__
+
+    def __init__(self, point: Any = None, label: int | None = None) -> None:
+        _set(self, "point", point)
+        _set(self, "label", label)
 
     @property
     def equivalent(self) -> bool:
         return self.point is None
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(_Value):
     """Ordered record of one learning run.
 
     The last response is an equivalence confirmation iff the run ended
     by identifying the target.
     """
 
-    queries: tuple[tuple[Concept, TeacherResponse], ...]
+    __match_args__ = ("queries",)
+    __slots__ = __match_args__
+
+    def __init__(self, queries: tuple[tuple[Concept, TeacherResponse], ...]) -> None:
+        _set(self, "queries", queries)
 
     @property
     def query_count(self) -> int:
@@ -93,9 +97,19 @@ class Transcript:
         return bool(self.queries) and self.queries[-1][1].equivalent
 
 
+# hashlib.sha256, fetched by the first derive_seed call: loading hashlib
+# sets up OpenSSL, which unseeded commands never need
+_sha256: Callable[[bytes], Any] | None = None
+
+
 def derive_seed(master: int, index: int) -> int:
     """Stable 64-bit per-trial seed, independent of platform hashing."""
-    digest = hashlib.sha256(f"{master}/{index}".encode("ascii")).digest()
+    global _sha256
+    if _sha256 is None:
+        import hashlib
+
+        _sha256 = hashlib.sha256
+    digest = _sha256(f"{master}/{index}".encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -279,8 +293,7 @@ def exact_expected_queries(
     return Fraction(*memo[start])
 
 
-@dataclass(frozen=True)
-class QuerySummary:
+class QuerySummary(_Value):
     """Exact statistics of the query counts of seeded learning runs.
 
     Mean and variance are exact rationals computed from integer tallies;
@@ -290,11 +303,17 @@ class QuerySummary:
     report keys and their CSV columns.
     """
 
-    trials: int
-    seed: int
-    mean: Fraction
-    variance: Fraction
-    max_queries: int
+    __match_args__ = ("trials", "seed", "mean", "variance", "max_queries")
+    __slots__ = __match_args__
+
+    def __init__(
+        self, trials: int, seed: int, mean: Fraction, variance: Fraction, max_queries: int
+    ) -> None:
+        _set(self, "trials", trials)
+        _set(self, "seed", seed)
+        _set(self, "mean", mean)
+        _set(self, "variance", variance)
+        _set(self, "max_queries", max_queries)
 
     @staticmethod
     def tally(histogram: Mapping[int, int]) -> dict[str, Any]:
@@ -336,7 +355,6 @@ class QuerySummary:
         return "class,target,trials,seed,mean,variance,max"
 
 
-@dataclass(frozen=True)
 class TrialSummary(QuerySummary):
     """Exact summary statistics over seeded Monte Carlo learning runs.
 
@@ -344,7 +362,20 @@ class TrialSummary(QuerySummary):
     sorted by count.
     """
 
-    histogram: tuple[tuple[int, int], ...]
+    __match_args__ = (*QuerySummary.__match_args__, "histogram")
+    __slots__ = ("histogram",)
+
+    def __init__(
+        self,
+        trials: int,
+        seed: int,
+        mean: Fraction,
+        variance: Fraction,
+        max_queries: int,
+        histogram: tuple[tuple[int, int], ...],
+    ) -> None:
+        super().__init__(trials, seed, mean, variance, max_queries)
+        _set(self, "histogram", histogram)
 
     def as_dict(self, class_name: str, target: str) -> dict[str, Any]:
         payload = super().as_dict(class_name, target)

@@ -30,12 +30,19 @@ import math
 import random
 from abc import ABC, abstractmethod
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
-from .concepts import MAX_CLASS_POINTS, ClassValidationError, Concept, ConceptClass, Domain
+from .concepts import (
+    MAX_CLASS_POINTS,
+    ClassValidationError,
+    Concept,
+    ConceptClass,
+    Domain,
+    _set,
+    _Value,
+)
 from .learner import (
     QuerySummary,
     TeacherResponse,
@@ -71,8 +78,7 @@ class PriorExhaustedError(ValueError):
     """A truncated enumeration ran out before reaching the required mass."""
 
 
-@dataclass(frozen=True)
-class AtomizedPrefix:
+class AtomizedPrefix(_Value):
     """Finite image of an enumeration prefix.
 
     `cls` holds one concept per prefix member, in the order the handles
@@ -82,8 +88,12 @@ class AtomizedPrefix:
     restrictions without losing information about the prefix.
     """
 
-    cls: ConceptClass
-    locate: Callable[[Any], str]
+    __match_args__ = ("cls", "locate")
+    __slots__ = __match_args__
+
+    def __init__(self, cls: ConceptClass, locate: Callable[[Any], str]) -> None:
+        _set(self, "cls", cls)
+        _set(self, "locate", locate)
 
 
 class CountableFamily(ABC):
@@ -195,14 +205,17 @@ def step_budget(dimension_bound: int, eps: Fraction) -> int:
         n += 1
 
 
-@dataclass(frozen=True)
-class StageSchedule:
+class StageSchedule(_Value):
     """Resolved parameters of one stage."""
 
-    stage: int
-    eps: Fraction
-    prefix: int
-    budget: int
+    __match_args__ = ("stage", "eps", "prefix", "budget")
+    __slots__ = __match_args__
+
+    def __init__(self, stage: int, eps: Fraction, prefix: int, budget: int) -> None:
+        _set(self, "stage", stage)
+        _set(self, "eps", eps)
+        _set(self, "prefix", prefix)
+        _set(self, "budget", budget)
 
 
 def schedule_for(family: CountableFamily, stage: int) -> StageSchedule:
@@ -364,8 +377,7 @@ class FiniteFamily(CountableFamily):
         return teacher_respond(cc.concepts[target], cc.concepts[hypothesis], cc.domain, rng)
 
 
-@dataclass(frozen=True)
-class StagedResult:
+class StagedResult(_Value):
     """Outcome of one staged run.
 
     `history` lists every counterexample as (real point, target label);
@@ -373,10 +385,16 @@ class StagedResult:
     `identified` is False the run used up the stage cap.
     """
 
-    identified: bool
-    queries: int
-    stages: int
-    history: tuple[tuple[Any, int], ...]
+    __match_args__ = ("identified", "queries", "stages", "history")
+    __slots__ = __match_args__
+
+    def __init__(
+        self, identified: bool, queries: int, stages: int, history: tuple[tuple[Any, int], ...]
+    ) -> None:
+        _set(self, "identified", identified)
+        _set(self, "queries", queries)
+        _set(self, "stages", stages)
+        _set(self, "history", history)
 
 
 def run_staged_learner(
@@ -448,17 +466,32 @@ def sample_target(family: CountableFamily, rng: random.Random) -> int:
         i += 1
 
 
-@dataclass(frozen=True)
 class StagedSummary(QuerySummary):
     """Summary of seeded staged runs with prior-drawn targets.
 
     `counts` holds the query count of each trial, in trial order.
     """
 
-    family: str
-    stage_cap: int
-    identified: int
-    counts: tuple[int, ...]
+    __match_args__ = (*QuerySummary.__match_args__, "family", "stage_cap", "identified", "counts")
+    __slots__ = ("family", "stage_cap", "identified", "counts")
+
+    def __init__(
+        self,
+        trials: int,
+        seed: int,
+        mean: Fraction,
+        variance: Fraction,
+        max_queries: int,
+        family: str,
+        stage_cap: int,
+        identified: int,
+        counts: tuple[int, ...],
+    ) -> None:
+        super().__init__(trials, seed, mean, variance, max_queries)
+        _set(self, "family", family)
+        _set(self, "stage_cap", stage_cap)
+        _set(self, "identified", identified)
+        _set(self, "counts", counts)
 
     def as_dict(self) -> dict[str, Any]:
         payload = super().as_dict(self.family, "tau")

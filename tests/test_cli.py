@@ -705,3 +705,12 @@ def test_main_without_arguments_reads_sys_argv(monkeypatch, capsys, c3_file):
     assert json.loads(out)["config"]["class"] == c3_file
     monkeypatch.setattr(sys, "argv", ["thicket", "--version"])
     assert run(capsys, None)[:2] == (0, __version__ + "\n")
+
+
+def test_duplicate_concept_label_exits_3(capsys, tmp_path):
+    p = tmp_path / "dup.json"
+    p.write_text('{"domain":["x1","x2"],"mu":["1/2","1/2"],"concepts":{"A":"01","A":"10","B":"11"}}')
+    code, out, err = run(capsys, ["ldim", "--class", str(p)])
+    assert code == 3
+    assert not out
+    assert "thicket ldim: duplicate key 'A' in class file" in err

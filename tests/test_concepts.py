@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thicket import (
+    ClassFileError,
     ClassValidationError,
     Concept,
     Domain,
@@ -177,3 +178,16 @@ def test_file_round_trip_property(bits):
         cc.label(i) for i in range(len(cc))
     ]
     assert save_class(loaded) == save_class(cc)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"domain":["x1","x2"],"mu":["1/2","1/2"],"concepts":{"A":"01","A":"10","B":"11"}}', "A"),
+        ('{"domain":["x1","x2"],"mu":["1/2","1/2"],"mu":["1/4","3/4"],"concepts":{}}', "mu"),
+    ],
+    ids=["concept-label", "mu"],
+)
+def test_load_rejects_duplicate_keys(text, key):
+    with pytest.raises(ClassFileError, match=f"duplicate key {key!r} in class file"):
+        load_class_with_prior(text)

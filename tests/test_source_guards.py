@@ -172,3 +172,55 @@ def test_package_exports_names_its_modules_export():
         if module not in ("__init__", "cli"):
             listed.update(importlib.import_module(f"thicket.{module}").__all__)
     assert set(thicket.__all__) == listed
+
+
+# modules a CLI call should not pay to load: dataclasses pulls in inspect,
+# ast and dis; hashlib sets up OpenSSL, which only seeded commands use
+NEVER_IMPORTED = frozenset({"dataclasses"})
+NOT_AT_MODULE_LEVEL = frozenset({"hashlib"})
+
+
+def imports(source, module):
+    """(module, imported module, at module level, line) per import statement."""
+    hits = []
+
+    def visit(node, top):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            top = False
+        if isinstance(node, ast.Import):
+            hits.extend((module, a.name.split(".")[0], top, node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            hits.append((module, node.module.split(".")[0], top, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, top)
+
+    visit(ast.parse(source), True)
+    return hits
+
+
+def test_import_scan_tells_module_level_from_function_level():
+    source = (
+        "import dataclasses\n"
+        "from hashlib import sha256\n"
+        "from . import concepts\n"
+        "class A:\n"
+        "    import json.decoder\n"
+        "def f():\n"
+        "    import hashlib\n"
+    )
+    assert imports(source, "m") == [
+        ("m", "dataclasses", True, 1),
+        ("m", "hashlib", True, 2),
+        ("m", "json", True, 5),
+        ("m", "hashlib", False, 7),
+    ]
+
+
+def test_no_module_loads_dataclasses_or_hashlib_on_import():
+    hits = []
+    for module in MODULES:
+        for hit in imports((SRC / f"{module}.py").read_text(encoding="utf-8"), module):
+            _, name, top, _ = hit
+            if name in NEVER_IMPORTED or (top and name in NOT_AT_MODULE_LEVEL):
+                hits.append(hit)
+    assert hits == []
