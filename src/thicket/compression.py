@@ -287,7 +287,7 @@ def build_reconstructors(concept_class: ConceptClass) -> tuple[Reconstructor, ..
             if len(points) != d:
                 raise ValueError(f"expected a tuple of {d} points, got {len(points)}")
             bits = decode(tuple(domain.index(p) for p in points))
-            return Concept(domain, tuple(bits >> p & 1 for p in range(len(domain))))
+            return Concept._from_point_bits(domain, bits)
 
         return rho
 

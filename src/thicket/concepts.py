@@ -161,6 +161,11 @@ class Concept(_Value):
             raise ClassValidationError(f"invalid bitstring {text!r}")
         return cls(domain, tuple(map(int, text)))
 
+    @classmethod
+    def _from_point_bits(cls, domain: Domain, row: int) -> "Concept":
+        """The concept labeling point index p with bit p of `row`."""
+        return cls(domain, tuple(map(int, format(row, f"0{len(domain)}b")[::-1])))
+
     def value(self, point: str) -> int:
         return self.bits[self.domain.index(point)]
 
@@ -175,10 +180,15 @@ class ConceptClass(_Value):
     (query selection, reconstruction) and the serialization order of
     class files. An empty class is a legal value; a file may declare one
     with an empty "concepts" object.
+
+    The class holds each concept's labels as one int in `point_bits`,
+    bit p the label at point index p, which is all the algorithms read.
+    A class loaded from a file holds only those ints and builds its
+    `Concept` objects on the first read of `concepts`.
     """
 
     __match_args__ = ("domain", "concepts", "labels")
-    __slots__ = (*__match_args__, "_where")
+    __slots__ = ("domain", "labels", "point_bits", "_concepts", "_where")
 
     def __init__(
         self,
@@ -189,30 +199,59 @@ class ConceptClass(_Value):
         for c in concepts:
             if c.domain != domain:
                 raise DomainMismatchError("concept defined over a different domain")
-        where = {c.bits: i for i, c in enumerate(concepts)}
-        if len(where) != len(concepts):
+        self._fill(domain, tuple([_point_bits(c.bits) for c in concepts]), labels)
+        _set(self, "_concepts", concepts)
+
+    @classmethod
+    def _from_point_bits(
+        cls, domain: Domain, rows: tuple[int, ...], labels: tuple[str, ...] | None
+    ) -> "ConceptClass":
+        """The class of the concepts whose point-bits ints are `rows`."""
+        self = cls.__new__(cls)
+        self._fill(domain, rows, labels)
+        _set(self, "_concepts", None)
+        return self
+
+    def _fill(
+        self, domain: Domain, rows: tuple[int, ...], labels: tuple[str, ...] | None
+    ) -> None:
+        where = {row: i for i, row in enumerate(rows)}
+        if len(where) != len(rows):
             raise ClassValidationError("duplicate concepts in class")
         if labels is not None:
-            if len(labels) != len(concepts):
+            if len(labels) != len(rows):
                 raise ClassValidationError("need exactly one label per concept")
             if len(set(labels)) != len(labels):
                 raise ClassValidationError("concept labels must be unique")
         _set(self, "domain", domain)
-        _set(self, "concepts", concepts)
         _set(self, "labels", labels)
+        _set(self, "point_bits", rows)
         _set(self, "_where", where)
 
+    @property
+    def concepts(self) -> tuple[Concept, ...]:
+        concepts = self._concepts
+        if concepts is None:
+            concepts = tuple(map(self._concept, range(len(self.point_bits))))
+            _set(self, "_concepts", concepts)
+        return concepts
+
+    def _concept(self, i: int) -> Concept:
+        if self._concepts is not None:
+            return self._concepts[i]
+        return Concept._from_point_bits(self.domain, self.point_bits[i])
+
     def __len__(self) -> int:
-        return len(self.concepts)
+        return len(self.point_bits)
 
     def __contains__(self, concept: Concept) -> bool:
-        return concept.domain == self.domain and concept.bits in self._where
+        return concept.domain == self.domain and _point_bits(concept.bits) in self._where
 
     def index_of(self, concept: Concept) -> int:
         if concept.domain != self.domain:
             raise DomainMismatchError("concept defined over a different domain")
         try:
-            return self._where[concept.bits]
+            return self._where[_point_bits(concept.bits)]
         except KeyError:
             raise ValueError("concept is not a member of the class") from None
 
@@ -223,9 +262,18 @@ class ConceptClass(_Value):
         if self.labels is None:
             raise ValueError("class has no concept labels")
         try:
-            return self.concepts[self.labels.index(name)]
+            i = self.labels.index(name)
         except ValueError:
             raise ValueError(f"no concept labeled {name!r}") from None
+        return self._concept(i)
+
+
+def _point_bits(bits: tuple[int, ...]) -> int:
+    """The labels as one int, bit p holding bits[p]."""
+    return int(bytes(bits[::-1]).translate(_DIGITS) or b"0", 2)
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 _REQUIRED_KEYS = {"domain", "mu", "concepts"}
@@ -307,7 +355,7 @@ def load_class_with_prior(data: bytes | str) -> tuple[ConceptClass, tuple[Fracti
     entries = raw["concepts"]
     if not isinstance(entries, dict) or not all(isinstance(k, str) for k in entries):
         raise ClassFileError('"concepts" must map labels to bitstrings')
-    concepts = []
+    rows = []
     for name, bits in entries.items():
         if not isinstance(bits, str):
             raise ClassFileError(f"concept {name!r} must be a bitstring")
@@ -315,13 +363,16 @@ def load_class_with_prior(data: bytes | str) -> tuple[ConceptClass, tuple[Fracti
             raise ClassFileError(
                 f"concept {name!r} has bitstring length {len(bits)}, expected {len(points)}"
             )
-        concepts.append(Concept.from_bitstring(domain, bits))
-    cls = ConceptClass(domain, tuple(concepts), tuple(entries.keys()))
+        # int() alone would also take "_", spaces, signs and non-ASCII digits
+        if bits.strip("01"):
+            raise ClassValidationError(f"invalid bitstring {bits!r}")
+        rows.append(int(bits[::-1], 2))
+    cls = ConceptClass._from_point_bits(domain, tuple(rows), tuple(entries.keys()))
 
     tau = None
     if "tau" in raw:
         raw_tau = raw["tau"]
-        if not isinstance(raw_tau, list) or len(raw_tau) != len(concepts):
+        if not isinstance(raw_tau, list) or len(raw_tau) != len(rows):
             raise ClassFileError('"tau" must list one prior weight per concept')
         tau = tuple(_parse_weight(t, "prior weight") for t in raw_tau)
         if any(t < 0 for t in tau):
@@ -343,11 +394,13 @@ def save_class(concept_class: ConceptClass, tau: Iterable[Fraction] | None = Non
     labels c0, c1, ... when the input had none.
     """
     labels = [concept_class.label(i) for i in range(len(concept_class))]
+    width = f"0{len(concept_class.domain)}b"
     doc: dict[str, object] = {
         "domain": list(concept_class.domain.points),
         "mu": [str(w) for w in concept_class.domain.mu],
         "concepts": {
-            name: c.bitstring() for name, c in zip(labels, concept_class.concepts)
+            name: format(row, width)[::-1]
+            for name, row in zip(labels, concept_class.point_bits)
         },
     }
     if tau is not None:

@@ -186,10 +186,10 @@ class _Transitions(dict[int, "_Step | None"]):
     def __init__(self, graph: QueryGraph, t: int) -> None:
         super().__init__()
         self.graph, self.t = graph, t
-        self.bits = graph.root.concepts[t].bits
+        self.row = graph.cache.point_bits[t]
 
     def __missing__(self, mask: int) -> _Step | None:
-        graph, t, bits = self.graph, self.t, self.bits
+        graph, t, row = self.graph, self.t, self.row
         q = graph.best_query(mask)
         step = None
         if q != t:
@@ -198,7 +198,7 @@ class _Transitions(dict[int, "_Step | None"]):
                 acc += graph.mass[p]
                 running.append(acc)
             restrict = graph.cache.restrict_mask
-            step = (q, points, running, [restrict(mask, p, bits[p]) for p in points])
+            step = (q, points, running, [restrict(mask, p, row >> p & 1) for p in points])
         self[mask] = step
         return step
 

@@ -65,14 +65,15 @@ class LdimCache:
 
     def __init__(self, root: ConceptClass) -> None:
         self.root = root
-        n = len(root.concepts)
-        self.full_mask = (1 << n) - 1
-        rows = [c.bits for c in root.concepts]
         #: point_bits[i] = labels of root.concepts[i], bit p at point index p
-        self.point_bits = list(map(_as_int, rows))
-        # _level_masks[p][v] = concepts taking value v at point index p
-        columns = zip(*rows) if rows else [()] * len(root.domain)
-        self._level_masks = [(self.full_mask ^ ones, ones) for ones in map(_as_int, columns)]
+        self.point_bits = rows = list(root.point_bits)
+        self.full_mask = (1 << len(rows)) - 1
+        # _level_masks[p][v] = concepts taking value v at point index p: the
+        # rows as bit strings, last concept first, read column by column
+        n = len(root.domain)
+        texts = [format(row, f"0{n}b") for row in reversed(rows)]
+        columns = [int("".join(column), 2) for column in zip(*texts)] if rows else [0] * n
+        self._level_masks = [(self.full_mask ^ ones, ones) for ones in reversed(columns)]
         self._memo: dict[int, int] = {}
         # decisions proven per mask: lo <= ldim < hi for the pair (lo, hi)
         self._proven: dict[int, tuple[int, int]] = {}
@@ -175,14 +176,6 @@ class LdimCache:
                 return True
         self._proven[mask] = (lo, k)
         return False
-
-
-def _as_int(bits: tuple[int, ...]) -> int:
-    """The labels as one int, bit p holding bits[p]."""
-    return int(bytes(bits[::-1]).translate(_DIGITS) or b"0", 2)
-
-
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _cache_for(concept_class: ConceptClass, cache: LdimCache | None) -> tuple[LdimCache, int]:

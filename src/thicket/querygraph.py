@@ -22,23 +22,14 @@ bitmasks shared with :class:`~thicket.littlestone.LdimCache`, and exposes
 the max-min query choice with lowest-index tie-breaking. It scales mu
 exactly to integers once, computes weights lazily in integer arithmetic
 and returns them as Fractions. Each concept's outgoing edges within a
-subclass are packed into one row of fixed-width integer lanes: the
-denominators once per concept, the numerators per subclass from the
-cache's split table and mass-premultiplied lane spreads; a class whose
-rows would exceed `MAX_ROW_BITS` is refused before any is built. One
-method builds a row (`_row`) and one finds a row's rank (`_rank`, lane
-by lane with the same lane-wise test): `weight` reads one lane of a
-row, `rank` searches one row, and query selection visits the members in
-index order, one whose row strictly beats the incumbent's rank (one
-lane-wise test) becoming the incumbent, so ties keep the lowest index.
-The incumbent's column, lane j holding N of the edge (j, i), is its row
-plus a scalar times the all-lanes vector minus one vector per subclass;
-every remaining member whose edge into the incumbent weighs at most its
-rank is dropped unvisited, since rank(j) <= d(j, i) means it cannot
-strictly beat that rank or any later, higher one. The graph reads the
+subclass are packed into one row of fixed-width integer lanes, built by
+`_row` and searched for its rank by `_rank`; a class whose rows would
+exceed `MAX_ROW_BITS` is refused before any is built. Query selection
+visits the members in index order, pruning by the incumbent's column,
+and answers a three-member subclass in closed form. The graph reads the
 difference points of a concept pair off the XOR of the cache's point
-bits, memoizes the chosen query per subclass, and keeps the last
-integer edge table it built, which `verify`'s checks and
+bits, memoizes the chosen query per subclass, and keeps the last integer
+edge table it built, which `verify`'s checks and
 :func:`find_deficient_cycle` read.
 """
 
@@ -46,7 +37,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress
 
 from .concepts import ClassValidationError, Concept, ConceptClass
 from .littlestone import LdimCache
@@ -100,7 +90,7 @@ class QueryGraph:
         # disagreement), and no subclass has ldim above floor(log2 |root|):
         # products N * b and a * D stay below 2**(width - 1), so a lane of
         # N * b - a * D + bias lies in [0, 2**width) and never borrows.
-        n = len(root.concepts)
+        n = len(root)
         bound = (n.bit_length() - 1) * scale * scale
         self._width = width = bound.bit_length() + 1
         if n * n * width > MAX_ROW_BITS:
@@ -130,26 +120,22 @@ class QueryGraph:
             s1 = self._spread(self.cache.level_mask(p, 1))
             self._points.append((1 << p, m * (self._all - s1), m * s1))
         # per concept: lane j holds D of its edge to concept j, the mass of
-        # the points where they differ, whatever subclass holds both
-        flips = [ms0 - ms1 for _, ms0, ms1 in self._points]
-        base = sum(ms1 for _, _, ms1 in self._points)
-        self._dens = [base + sum(compress(flips, c.bits)) for c in root.concepts]
+        # the points where they differ, whatever subclass holds both: the row
+        # of the all-0 labeling plus, per chunk of points, a table's flips
+        rows, chunk = self.cache.point_bits, max(1, n.bit_length() - 1)
+        self._dens = [sum(ms1 for _, _, ms1 in self._points)] * n
+        for p in range(0, len(mu), chunk):
+            table = [0]
+            for _, ms0, ms1 in self._points[p : p + chunk]:
+                table += [t + ms0 - ms1 for t in table]
+            self._dens = [d + table[r >> p & len(table) - 1] for d, r in zip(self._dens, rows)]
         self._best: dict[int, int] = {}
         self._edges: tuple[int, dict[tuple[int, int], tuple[int, int]]] = (-1, {})
 
-    def diff_mass(self, i: int, j: int) -> tuple[tuple[int, ...], int]:
-        """Points where concepts i and j disagree, ascending, and their
-        integer mass D, read off the D row (order-insensitive)."""
-        rest, points = self.cache.point_bits[i] ^ self.cache.point_bits[j], []
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            points.append(low.bit_length() - 1)
-        return tuple(points), self._dens[i] >> j * self._width & self._lane
-
     def diff_points(self, i: int, j: int) -> tuple[int, ...]:
-        """Point indices where concepts i and j disagree (order-insensitive)."""
-        return self.diff_mass(i, j)[0]
+        """Point indices where concepts i and j disagree, ascending
+        (order-insensitive)."""
+        return _points(self.cache.point_bits[i] ^ self.cache.point_bits[j])
 
     def _spread(self, mask: int) -> int:
         """Lane vector holding bit j of `mask` in lane j."""
@@ -284,7 +270,10 @@ class QueryGraph:
         others cannot strictly beat a/b, and ranks only rise, so each
         filter stays valid under the later ones. Two distinct concepts
         weigh 1 both ways, so a subclass of one or two concepts takes its
-        lowest index.
+        lowest index. Three distinct concepts split only where one stands
+        alone, so d(i, j) = w_j / (w_i + w_j) for w_x the mass where x
+        does: members of least w rank at least 1/2, the others below, and
+        a three-member subclass takes the lowest index of least w.
         """
         if mask == 0:
             raise ValueError("no query exists for the empty class")
@@ -293,6 +282,14 @@ class QueryGraph:
             return (mask & -mask).bit_length() - 1
         hit = self._best.get(mask)
         if hit is not None:
+            return hit
+        if count == 3:
+            i, k = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+            j = (mask ^ 1 << i ^ 1 << k).bit_length() - 1
+            x, y, z = (self.cache.point_bits[m] for m in (i, j, k))
+            alone = ((x ^ y) & (x ^ z), i), ((x ^ y) & (y ^ z), j), ((x ^ z) & (y ^ z), k)
+            mass = self.mass.__getitem__
+            self._best[mask] = hit = min((sum(map(mass, _points(w))), m) for w, m in alone)[1]
             return hit
         layout = self._layout(mask)
         width, lane, bias, full, total = self._width, self._lane, self._bias, self._all, layout[3]
@@ -314,6 +311,16 @@ class QueryGraph:
             todo &= column * b - a * dens + bias
         self._best[mask] = best_i
         return best_i
+
+
+def _points(bits: int) -> tuple[int, ...]:
+    """Indices of the set bits of a point mask, ascending."""
+    points = []
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        points.append(low.bit_length() - 1)
+    return tuple(points)
 
 
 def edge_weight(concept_class: ConceptClass, a: Concept, b: Concept) -> Fraction:

@@ -265,6 +265,16 @@ def one_hot(n):
     return mk_class(["".join("1" if p == i else "0" for p in range(n)) for i in range(n)])
 
 
+def one_hot_product(d, n):
+    """The product of d one-hot blocks of n points, uniform over all d * n
+    points: concept (i_1, ..., i_d), in `product` order, labels point i_b
+    of each block b with 1 and every other point 0."""
+    return mk_class([
+        "".join("1" if p == i else "0" for i in picks for p in range(n))
+        for picks in product(range(n), repeat=d)
+    ])
+
+
 @contextmanager
 def recursion_headroom(frames):
     """Lower the recursion limit to `frames` above the current call depth."""

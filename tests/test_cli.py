@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from thicket import ConceptClass, Domain, LdimCache, __version__, load_class
-from thicket import QueryGraph, cli, compression
+from thicket import Concept, ConceptClass, Domain, LdimCache, __version__, load_class
+from thicket import QueryGraph, cli, compression, exact_expected_queries, ldim
 from thicket.cli import main
 from thicket.generate import random_class, random_classes
 from thicket.learner import derive_seed
@@ -714,3 +714,82 @@ def test_duplicate_concept_label_exits_3(capsys, tmp_path):
     assert code == 3
     assert not out
     assert "thicket ldim: duplicate key 'A' in class file" in err
+
+
+def _class_text(concepts, mu=("1/3", "1/3", "1/3"), tau=None):
+    doc = {"domain": [f"x{p}" for p in range(len(mu))], "mu": list(mu), "concepts": concepts}
+    if tau is not None:
+        doc["tau"] = tau
+    return json.dumps(doc, ensure_ascii=False)
+
+
+HALVES = ("1/2", "1/2")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_class_text({"A": "011", "B": "0_1"}), "invalid bitstring '0_1'"),
+        (_class_text({"A": " 01"}), "invalid bitstring ' 01'"),
+        (_class_text({"A": "+1"}, HALVES), "invalid bitstring '+1'"),
+        (_class_text({"A": "\u0661\u0660"}, HALVES), "invalid bitstring '\u0661\u0660'"),
+        (_class_text({"A": "011", "B": "01"}), "concept 'B' has bitstring length 2, expected 3"),
+        (_class_text({"A": "011", "B": "011"}), "duplicate concepts in class"),
+        ('{"domain": ["a", "b"], "mu": ["1/2", "1/2"], "concepts": {"A": "01", "A": "10"}}',
+         "duplicate key 'A' in class file"),
+        (_class_text({"A": "011"}, ("1/3", "1/3", "1/2")), "point weights must sum to exactly 1"),
+        (_class_text({"A": "011"}, ("1/3", "1/3", "x")), "malformed weight 'x'"),
+        # precedence: concepts in file order, each by length and then by
+        # characters; duplicates after every bitstring; weights and JSON keys
+        # before any concept, the prior after the class
+        (_class_text({"A": "0x1", "B": "01"}), "invalid bitstring '0x1'"),
+        (_class_text({"A": "01", "B": "0x1"}), "concept 'A' has bitstring length 2, expected 3"),
+        (_class_text({"A": "011", "B": "011", "C": "+11"}), "invalid bitstring '+11'"),
+        (_class_text({"A": "0_1"}, ("1/3", "1/3", "1/2")), "point weights must sum to exactly 1"),
+        (_class_text({"A": "011", "B": "011"}, tau=["2"]), "duplicate concepts in class"),
+        ('{"domain": ["a", "b"], "mu": ["1/2", "1/2"], "concepts": {"A": "0_", "A": "10"}}',
+         "duplicate key 'A' in class file"),
+    ],
+)
+def test_malformed_class_files_keep_their_messages_and_order(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["ldim", "--class", str(path)], ["learn-exact", "--class", str(path), "--target", "A"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.splitlines()[0] == f"thicket {argv[0]}: {message}"
+
+
+def test_learn_exact_builds_no_concept_but_the_target(monkeypatch, capsys, tmp_path):
+    cc = random_class(random.Random(derive_seed(0, 0)), 10, 64, 10, 64)
+    path = write_class_file(tmp_path / "wide.json", cc)
+    real_init, built = Concept.__init__, []
+
+    def init(self, domain, bits):
+        built.append(bits)
+        real_init(self, domain, bits)
+
+    monkeypatch.setattr(Concept, "__init__", init)
+    code, out, _ = run(capsys, ["learn-exact", "--class", path, "--target", "c5"])
+    assert code == 0
+    assert built == [cc.concepts[5].bits]
+    monkeypatch.undo()
+    assert json.loads(out)["expected_queries"] == str(exact_expected_queries(cc, cc.concepts[5]))
+
+
+def test_kernel_runs_on_a_loaded_class_without_reading_its_concepts(monkeypatch, tmp_path):
+    cc = random_class(random.Random(derive_seed(0, 1)), 10, 64, 10, 64)
+    loaded = load_class(Path(write_class_file(tmp_path / "wide.json", cc)).read_bytes())
+    target = loaded.by_label("c7")
+
+    def unread(self):
+        raise AssertionError("ConceptClass.concepts was read")
+
+    monkeypatch.setattr(ConceptClass, "concepts", property(unread))
+    cache, graph = LdimCache(loaded), QueryGraph(loaded)
+    expected = exact_expected_queries(loaded, target, graph)
+    dimension = ldim(loaded, graph.cache)
+    monkeypatch.undo()
+    assert cache.point_bits == LdimCache(cc).point_bits
+    assert expected == exact_expected_queries(cc, cc.concepts[7])
+    assert dimension == ldim(cc)

@@ -1,4 +1,7 @@
+import copy
 import json
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +12,10 @@ from thicket import (
     ClassFileError,
     ClassValidationError,
     Concept,
+    ConceptClass,
     Domain,
     DomainMismatchError,
+    LdimCache,
     load_class,
     load_class_with_prior,
     save_class,
@@ -191,3 +196,57 @@ def test_file_round_trip_property(bits):
 def test_load_rejects_duplicate_keys(text, key):
     with pytest.raises(ClassFileError, match=f"duplicate key {key!r} in class file"):
         load_class_with_prior(text)
+
+
+def _drawn_class(seed, n, m):
+    """A labeled class of m distinct concepts on n points with integer
+    weights, built from Concept objects, and its class file text."""
+    rng = random.Random(seed)
+    raw = [rng.randint(1, 9) for _ in range(n)]
+    domain = Domain(tuple(f"x{p}" for p in range(n)), tuple(Fraction(w, sum(raw)) for w in raw))
+    rows = []
+    while len(rows) < m:
+        v = rng.getrandbits(n)
+        if v not in rows:
+            rows.append(v)
+    concepts = tuple(Concept(domain, tuple(v >> p & 1 for p in range(n))) for v in rows)
+    labels = tuple(f"L{k}" for k in range(m))
+    text = json.dumps({
+        "domain": list(domain.points),
+        "mu": [str(w) for w in domain.mu],
+        "concepts": {name: "".join(map(str, c.bits)) for name, c in zip(labels, concepts)},
+    })
+    return ConceptClass(domain, concepts, labels), text
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (6, 20), (10, 64), (70, 9)])
+def test_loaded_class_matches_the_class_built_from_concepts(n, m):
+    eager, text = _drawn_class(f"load {n} {m}", n, m)
+    loaded = load_class(text)
+    assert loaded == eager and eager == loaded
+    assert hash(loaded) == hash(eager)
+    assert repr(load_class(text)) == repr(eager)
+    for twin in (copy.copy(loaded), copy.deepcopy(loaded), pickle.loads(pickle.dumps(loaded))):
+        assert twin == eager and hash(twin) == hash(eager)
+    # the rows and level masks of the loaded class, against the Concept tuples
+    fresh, built = LdimCache(load_class(text)), LdimCache(eager)
+    rows = [sum(b << p for p, b in enumerate(c.bits)) for c in eager.concepts]
+    assert fresh.point_bits == built.point_bits == rows
+    for p in range(n):
+        for v in (0, 1):
+            members = sum(1 << i for i, c in enumerate(eager.concepts) if c.bits[p] == v)
+            assert fresh.level_mask(p, v) == built.level_mask(p, v) == members
+    # lookups on a class whose concepts were never built
+    lazy = load_class(text)
+    for i, c in enumerate(eager.concepts):
+        assert lazy.index_of(c) == i and c in lazy
+        assert lazy.by_label(f"L{i}") == c
+    assert lazy.concepts == eager.concepts
+    assert lazy.concepts is lazy.concepts
+
+
+def test_loaded_empty_class_equals_the_built_one():
+    cc = load_class('{"domain": ["p", "q"], "mu": ["1/2", "1/2"], "concepts": {}}')
+    assert cc == ConceptClass(Domain.uniform(("p", "q")), (), ())
+    assert len(cc) == 0 and cc.concepts == ()
+    assert LdimCache(cc).level_mask(1, 0) == 0

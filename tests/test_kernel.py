@@ -215,7 +215,8 @@ def _ref_visits(oracle, sub, mu, ranks):
 def test_max_min_ties_and_pruning_on_every_three_point_subclass(oracle, mu):
     # a member whose edge into an incumbent equals the incumbent's rank
     # cannot strictly beat it, so the scan drops it unvisited and the
-    # lower index keeps the tie; `_dens` is read once per visited member
+    # lower index keeps the tie; `_dens` is read once per visited member,
+    # and not at all for three members, which take the closed form
     boundary = 0
     weights = mu or [Fraction(1, 3)] * 3
     for cc in all_three_point_classes():
@@ -228,7 +229,9 @@ def test_max_min_ties_and_pruning_on_every_three_point_subclass(oracle, mu):
             best = oracle.ref_max_min(sub, weights)
             del graph._dens.read[:]
             assert graph.best_query(mask) == members[best], (cc.concepts, mask)
-            if len(members) > 2:
+            if len(members) == 3:
+                assert graph._dens.read == [], (cc.concepts, mask)
+            if len(members) > 3:
                 ranks = [oracle.ref_rank(sub, weights, a) for a in range(len(sub))]
                 visits = _ref_visits(oracle, sub, weights, ranks)
                 assert graph._dens.read == [members[j] for j in visits], (cc.concepts, mask)
@@ -237,6 +240,33 @@ def test_max_min_ties_and_pruning_on_every_three_point_subclass(oracle, mu):
                     for k in range(best + 1, len(sub))
                 )
     assert boundary > 0
+
+
+@pytest.mark.parametrize("weights", ["uniform", "integer"])
+def test_three_member_subclass_queries_the_member_alone_on_the_least_mass(oracle, weights):
+    # every split point of three distinct concepts leaves one alone; the
+    # max-min query is the lowest index of least mass where it stands alone
+    nowhere = 0
+    for k in range(3):
+        rng = random.Random(f"three {weights} {k}")
+        n = 6
+        patterns = [tuple(v >> p & 1 for p in range(n)) for v in rng.sample(range(2**n), 9)]
+        raw = [rng.randint(1, 4) if weights == "integer" else 1 for _ in range(n)]
+        mu = [Fraction(w, sum(raw)) for w in raw]
+        graph = QueryGraph(mk_class(_bits(patterns), mu=mu))
+        for mask in range(graph.cache.full_mask + 1):
+            if mask.bit_count() != 3:
+                continue
+            members = _members(mask)
+            sub = [patterns[i] for i in members]
+            alone = [
+                sum(mu[p] for p in range(n) if all(c[p] != x[p] for c in sub if c is not x))
+                for x in sub
+            ]
+            nowhere += 0 in alone
+            rule = alone.index(min(alone))
+            assert graph.best_query(mask) == members[rule] == members[oracle.ref_max_min(sub, mu)]
+    assert nowhere > 0
 
 
 def block_class(blocks):

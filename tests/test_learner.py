@@ -27,6 +27,7 @@ from helpers import (
     c3,
     mk_class,
     one_hot,
+    one_hot_product,
     recursion_headroom,
     ref_learner_run,
     ref_lowest_index_expected_queries,
@@ -303,6 +304,24 @@ def test_exact_expectation_walks_a_long_chain_without_recursion():
         expected = exact_expected_queries(cc, cc.concepts[-1])
     # E(k) = 1 + E(k - 1) / 2 + 1/2 with E(2) = 2 gives E(k) = 3 - 2**(2 - k)
     assert expected == 3 - Fraction(1, 2**58)
+
+
+def _worst_expected_queries(cc):
+    graph = QueryGraph(cc)
+    return max(exact_expected_queries(cc, t, graph) for t in cc.concepts)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_one_hot_worst_target_takes_three_minus_a_power_of_two(n):
+    assert _worst_expected_queries(one_hot(n)) == 3 - Fraction(2) ** (2 - n)
+
+
+@pytest.mark.parametrize("d, n", [(2, n) for n in range(3, 7)] + [(3, n) for n in range(2, 5)])
+def test_one_hot_products_add_their_blocks_counterexamples(d, n):
+    # each block costs the 2 - 2**(2 - n) counterexamples of one one-hot
+    # class, and one query confirms
+    expected = d * (2 - Fraction(2) ** (2 - n)) + 1
+    assert _worst_expected_queries(one_hot_product(d, n)) == expected
 
 
 def test_exact_expectation_worked_class():

@@ -259,14 +259,15 @@ def test_difference_points_on_a_wide_domain():
     cc = mk_class(sorted(bits), mu=mu)
     graph = QueryGraph(cc)
     total = sum(graph.mass)
+    edges = graph.edges(graph.cache.full_mask)
     for i, a in enumerate(cc.concepts):
         for j, b in enumerate(cc.concepts):
             if i == j:
                 continue
             direct = tuple(p for p in range(n) if a.bits[p] != b.bits[p])
-            points, mass = graph.diff_mass(i, j)
-            assert points == direct == graph.diff_points(j, i)
-            assert Fraction(mass, total) == sum(mu[p] for p in direct)
+            assert graph.diff_points(i, j) == direct == graph.diff_points(j, i)
+            # D of the edge is the mass of the difference points
+            assert Fraction(edges[i, j][1], total) == sum(mu[p] for p in direct)
 
 
 def test_weight_and_rank_take_members_only():
