@@ -150,7 +150,8 @@ class Concept(_Value):
     def __init__(self, domain: Domain, bits: tuple[int, ...]) -> None:
         if len(bits) != len(domain.points):
             raise ClassValidationError("a concept must label every domain point")
-        if bits.count(0) + bits.count(1) != len(bits):
+        # True, 1.0 and Fraction(1) also count as 1; only the ints 0 and 1 pass
+        if bits.count(0) + bits.count(1) != len(bits) or set(map(type, bits)) - {int}:
             raise ClassValidationError("concept labels must be 0 or 1")
         _set(self, "domain", domain)
         _set(self, "bits", bits)
@@ -335,6 +336,12 @@ def load_class_with_prior(data: bytes | str) -> tuple[ConceptClass, tuple[Fracti
         raw = json.loads(data, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ClassFileError(f"invalid JSON: {exc}") from None
+    except ClassFileError:  # a repeated key
+        raise
+    except ValueError:  # an integer past Python's limit on the digits of an int
+        raise ClassFileError("invalid JSON: a number has too many digits") from None
+    except RecursionError:
+        raise ClassFileError("invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ClassFileError("class file must be a JSON object")
     unknown = set(raw) - _ALLOWED_KEYS

@@ -118,13 +118,14 @@ def unit_variate(rng: random.Random) -> Fraction:
     return Fraction(rng.getrandbits(64), 1 << 64)
 
 
-def sample_index(weights: Sequence[Fraction], rng: random.Random) -> int:
+def sample_index(weights: Sequence[Fraction | int], rng: random.Random) -> int:
     """Draw an index with probability proportional to its exact weight.
 
-    The weights, which must be nonnegative, are scaled by their least
-    common denominator to integer masses, which leaves every comparison
-    unchanged, and one variate r picks the first index whose running mass
-    exceeds r * D >> 64, for D the total.
+    The weights are Fractions or ints, both exact rationals with a
+    numerator and a denominator, and must be nonnegative. They are scaled
+    by their least common denominator to integer masses, which leaves
+    every comparison unchanged, and one variate r picks the first index
+    whose running mass exceeds r * D >> 64, for D the total.
     """
     if not weights:
         raise ValueError("cannot sample from an empty weight sequence")

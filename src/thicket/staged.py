@@ -37,7 +37,6 @@ from typing import Any, Callable, Iterable, Iterator
 from .concepts import (
     MAX_CLASS_POINTS,
     ClassValidationError,
-    Concept,
     ConceptClass,
     Domain,
     _set,
@@ -49,7 +48,6 @@ from .learner import (
     derive_seed,
     sample_index,
     teacher_respond,
-    unit_variate,
 )
 from .littlestone import ldim
 from .querygraph import QueryGraph
@@ -296,17 +294,15 @@ class IntervalFamily(CountableFamily):
         # total interval length is sum 1/(n(n+1)) = 1, so any finite
         # selection leaves the remainder atom strictly positive mass
         domain = Domain(tuple(names) + ("rest",), tuple(lengths) + (rest,))
-        concepts = []
-        for k in range(len(indices)):
-            bits = tuple(1 if j == k else 0 for j in range(len(indices))) + (0,)
-            concepts.append(Concept(domain, bits))
-        cls = ConceptClass(domain, tuple(concepts), tuple(names))
+        # concept k is positive on atom k alone
+        rows = tuple([1 << k for k in range(len(indices))])
+        cls = ConceptClass._from_point_bits(domain, rows, tuple(names))
         slots = {i + 1: name for name, i in zip(names, indices)}
 
         def locate(point: Any) -> str:
             # x = a/b lies in (1/(k+1), 1/k) for k = b // a, unless a divides b
-            x = Fraction(point)
-            if x <= 0:
+            x = point if isinstance(point, Fraction) else Fraction(point)
+            if x.numerator <= 0:
                 return "rest"
             k, r = divmod(x.denominator, x.numerator)
             return slots.get(k, "rest") if r else "rest"
@@ -316,15 +312,18 @@ class IntervalFamily(CountableFamily):
     def respond(self, target: int, hypothesis: int, rng: random.Random) -> TeacherResponse:
         if target == hypothesis:
             return TeacherResponse()
-        parts = [hypothesis, target]
-        pick = parts[sample_index([self.length(i) for i in parts], rng)]
-        low, high = self.interval(pick)
-        offset = unit_variate(rng) * (high - low)
-        if offset == 0:
-            # 0 would land on the open boundary; use the midpoint instead
-            offset = (high - low) / 2
-        point = low + offset
-        return TeacherResponse(point, self.eval(target, point))
+        if target < 0 or hypothesis < 0:
+            raise ValueError("enumeration indices start at 0")
+        # interval i has length 1 / L_i for L_i = (i + 1)(i + 2); scaled by
+        # L_h * L_t, the hypothesis's and target's lengths are L_t and L_h
+        pick = (hypothesis, target)[
+            sample_index([(target + 1) * (target + 2), (hypothesis + 1) * (hypothesis + 2)], rng)
+        ]
+        # the point low + r / 2**64 * length of interval n - 1; r = 0 would
+        # land on the open boundary, so it takes the midpoint, r = 2**63
+        n, r = pick + 1, rng.getrandbits(64) or 1 << 63
+        # the intervals are disjoint, so the target holds the point iff picked
+        return TeacherResponse(Fraction((n << 64) + r, n * (n + 1) << 64), int(pick == target))
 
 
 class FiniteFamily(CountableFamily):

@@ -217,6 +217,33 @@ def ref_staged_trials(patterns, mu, tau, trials, seed, stage_cap):
     return counts
 
 
+def ref_interval_respond(target, hypothesis, rng):
+    """The interval teacher's answer to a hypothesis index against a
+    target index: None when they are equal, else (point, label).
+
+    Index i is the open interval (1/(i+2), 1/(i+1)). A variate
+    u = r / 2**64, for r = getrandbits(64), picks the hypothesis's
+    interval when its length exceeds u times the two lengths' sum, and
+    the target's otherwise. A second variate v places the point at
+    low + v * length of the picked interval, or at its midpoint when
+    v = 0. The label is 1 when the point lies inside the target's
+    interval.
+    """
+    if target == hypothesis:
+        return None
+
+    def interval(i):
+        return Fraction(1, i + 2), Fraction(1, i + 1)
+
+    len_h, len_t = (high - low for low, high in map(interval, (hypothesis, target)))
+    u = Fraction(rng.getrandbits(64), 2**64)
+    low, high = interval(hypothesis if len_h > u * (len_h + len_t) else target)
+    v = Fraction(rng.getrandbits(64), 2**64)
+    point = low + (v * (high - low) if v else (high - low) / 2)
+    t_low, t_high = interval(target)
+    return point, int(t_low < point < t_high)
+
+
 def ref_sample_count(patterns, limit):
     """Distinct labeled samples over nonempty point subsets of at most
     `limit` points: per subset, the distinct restrictions of the patterns."""
@@ -319,6 +346,17 @@ class StubRng:
     def getrandbits(self, bits):
         assert bits == 64
         return self.value
+
+
+class ScriptedRng:
+    """A generator whose 64-bit variates are `values`, in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def getrandbits(self, bits):
+        assert bits == 64
+        return self.values.pop(0)
 
 
 def write_class_file(path, cc, tau=None):

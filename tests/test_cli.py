@@ -242,15 +242,25 @@ def test_staged_tiny_prior_ratio_exits_3_before_drawing():
 
 
 @pytest.mark.parametrize(
-    "ratio, digest",
+    "options, digest",
     [
-        ("1/2", "b75789142b0709f646bcbc6c5e72486804ab9bd3a54d57f746294b8dfe77d52d"),
-        ("1/20", "4412f2763f20425c4a930ceed4a07e1a6a148565028877c578dcd36e9cf67b8c"),
+        (
+            "--prior-geometric 1/2 --trials 200 --seed 3",
+            "b75789142b0709f646bcbc6c5e72486804ab9bd3a54d57f746294b8dfe77d52d",
+        ),
+        (
+            "--prior-geometric 1/20 --trials 200 --seed 3",
+            "4412f2763f20425c4a930ceed4a07e1a6a148565028877c578dcd36e9cf67b8c",
+        ),
+        # the staged command of the trials-replay benchmark workload
+        (
+            "--family intervals --trials 2500 --seed 0",
+            "4849b76d418164f9b129f9f04bdbd3552c8009f3ec06bd7e984cd98ab6e760f7",
+        ),
     ],
 )
-def test_staged_reports_within_the_point_cap_are_unchanged(capsys, ratio, digest):
-    argv = ["staged", "--prior-geometric", ratio, "--trials", "200", "--seed", "3"]
-    code, out, _ = run(capsys, argv)
+def test_staged_reports_within_the_point_cap_are_unchanged(capsys, options, digest):
+    code, out, _ = run(capsys, ["staged", *options.split()])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -506,6 +516,39 @@ def test_staged_truncated_prior_exits_3(tmp_path, tau, seed, message):
     assert not proc.stdout
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["ldim", "--class", "{path}"], "["),
+        (["staged", "--family", "file:{path}", "--trials", "5"], '{"domain": ['),
+    ],
+)
+def test_deeply_nested_class_file_exits_3(tmp_path, depth, argv, prefix):
+    # json.loads recurses once per nesting level
+    path = tmp_path / "deep.json"
+    path.write_text(prefix + "[" * depth)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "thicket.cli", *(a.format(path=path) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 3
+    assert not proc.stdout
+    assert "invalid JSON: nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_json_integer_past_the_digit_limit_exits_3(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"domain": ["a"], "mu": [' + "1" * 5000 + '], "concepts": {}}')
+    code, out, err = run(capsys, ["ldim", "--class", str(path)])
+    assert code == 3
+    assert not out
+    assert "invalid JSON: a number has too many digits" in err
 
 
 def test_gen_takes_points_up_to_the_cap(capsys):

@@ -66,6 +66,19 @@ def test_concept_length_mismatch():
         Concept.from_bitstring(d, "101")
 
 
+@pytest.mark.parametrize(
+    "bits",
+    [(True, False), (1, False), (1.0, 0), (0, 1.0), (Fraction(1), 0), (1, 2), (-1, 0)],
+    ids=repr,
+)
+def test_concept_labels_must_be_the_ints_0_or_1(bits):
+    # bool, float and Fraction labels compare equal to 0 or 1
+    d = Domain.uniform(("x1", "x2"))
+    with pytest.raises(ClassValidationError, match="concept labels must be 0 or 1"):
+        Concept(d, bits)
+    assert Concept(d, (1, 0)).bitstring() == "10"
+
+
 def test_class_rejects_duplicate_concepts():
     with pytest.raises(ClassValidationError):
         mk_class(["10", "10"])

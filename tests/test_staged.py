@@ -23,7 +23,15 @@ from thicket import (
     step_budget,
 )
 
-from helpers import StubRng, c3, mk_class, ref_edge_weight, ref_staged_trials
+from helpers import (
+    ScriptedRng,
+    StubRng,
+    c3,
+    mk_class,
+    ref_edge_weight,
+    ref_interval_respond,
+    ref_staged_trials,
+)
 
 
 def test_stage_epsilon_halves():
@@ -122,6 +130,57 @@ def test_atomized_locate_matches_the_interval_scan():
     for x in points:
         expected = [f"i{i + 1}" for i in indices if fam.eval(i, x)] or ["rest"]
         assert atoms.locate(x) == expected[0]
+
+
+INTERVAL_PAIRS = [
+    (0, 1), (1, 0), (3, 3), (0, 0), (2, 9), (9, 2), (0, 254), (300, 0), (7, 5000),
+    (10**6 - 1, 10**6), (10**6 + 1, 10**6), (10**6, 3), (3, 10**6), (10**6, 10**6),
+]
+
+
+def as_pair(response):
+    return None if response.equivalent else (response.point, response.label)
+
+
+def test_interval_respond_matches_a_fraction_reference():
+    fam = IntervalFamily()
+    draw = random.Random(41)
+    pairs = INTERVAL_PAIRS + [(draw.randrange(40), draw.randrange(40)) for _ in range(400)]
+    for seed, (target, hypothesis) in enumerate(pairs):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = as_pair(fam.respond(target, hypothesis, rng))
+        assert got == ref_interval_respond(target, hypothesis, ref)
+        # both took the same variates
+        assert rng.getrandbits(64) == ref.getrandbits(64)
+
+
+@pytest.mark.parametrize("first", [0, 1, 2**63 - 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("second", [0, 1, 2**63, 2**64 - 1])
+def test_interval_respond_at_extreme_variates_matches_the_reference(first, second):
+    fam = IntervalFamily()
+    for target, hypothesis in INTERVAL_PAIRS:
+        got = as_pair(fam.respond(target, hypothesis, ScriptedRng([first, second])))
+        assert got == ref_interval_respond(target, hypothesis, ScriptedRng([first, second]))
+        if got is not None:
+            point, label = got
+            assert fam.eval(target, point) == label
+
+
+@pytest.mark.parametrize("target, hypothesis", [(-1, 0), (0, -1), (-3, 2)])
+def test_interval_respond_rejects_negative_indices(target, hypothesis):
+    with pytest.raises(ValueError, match="enumeration indices start at 0"):
+        IntervalFamily().respond(target, hypothesis, random.Random(0))
+
+
+def test_locate_takes_ints_strings_and_nonpositive_points():
+    atoms = IntervalFamily().atomize([0, 1, 2])
+    cases = {
+        0: "rest", -1: "rest", 1: "rest", 2: "rest", "3/4": "i1", "2/5": "i2",
+        "-3/4": "rest", "0": "rest", Fraction(0): "rest", Fraction(-2, 7): "rest",
+        Fraction(3, 10): "i3", Fraction(1, 3): "rest",
+    }
+    for point, atom in cases.items():
+        assert atoms.locate(point) == atom, point
 
 
 def test_nonuniform_ratio_prior():
