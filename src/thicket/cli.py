@@ -45,7 +45,7 @@ from .learner import (
 # drop is no longer called here; it stays importable as cli.drop, the
 # name perfbench/tracer.py wraps
 from .littlestone import LdimCache, drop, ldim  # noqa: F401
-from .querygraph import QueryGraph, find_deficient_cycle
+from .querygraph import QueryGraph, _points, find_deficient_cycle
 from .staged import FiniteFamily, IntervalFamily, PriorExhaustedError, staged_trials
 from .compression import certify_scheme
 
@@ -281,17 +281,18 @@ def _verify_one(cc: ConceptClass, max_cycle_len: int) -> list[dict[str, Any]]:
             {"check": check, "detail": detail, "class_file": _class_document(cc)}
         )
 
-    split = _drop_sums(cache, mask)
+    # the points whose drop sum is below 1, which the paper says never occur
+    low = sum(1 << p for p, total in enumerate(_drop_sums(cache, mask)) if total < 1)
+    rows = cache.point_bits
     edges = graph.edges(mask)
     for i in range(n):
         for j in range(i + 1, n):
-            for p in graph.diff_points(i, j):
-                if split[p] < 1:
-                    blame(
-                        "drop_sums",
-                        f"drops at {cc.domain.points[p]} for {cc.label(i)},{cc.label(j)}"
-                        " sum below 1",
-                    )
+            for p in _points((rows[i] ^ rows[j]) & low):
+                blame(
+                    "drop_sums",
+                    f"drops at {cc.domain.points[p]} for {cc.label(i)},{cc.label(j)}"
+                    " sum below 1",
+                )
             (n_ij, d_ij), (n_ji, d_ji) = edges[i, j], edges[j, i]
             if n_ij * d_ji + n_ji * d_ij < d_ij * d_ji:
                 blame(

@@ -159,7 +159,7 @@ class Concept(_Value):
     @classmethod
     def from_bitstring(cls, domain: Domain, text: str) -> "Concept":
         if set(text) - {"0", "1"}:
-            raise ClassValidationError(f"invalid bitstring {text!r}")
+            raise ClassValidationError(f"invalid bitstring {_quote(text)}")
         return cls(domain, tuple(map(int, text)))
 
     @classmethod
@@ -298,13 +298,30 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _quote(value: object) -> str:
+    """repr(value) for an error message, cut to a bounded length.
+
+    A class file can hold a string of megabytes or a list nested hundreds
+    deep. reprlib quotes at most 60 characters of each string or number,
+    6 items of each container and 6 levels of nesting, and the result is
+    cut after 200 characters; a value within those bounds is quoted
+    exactly as repr quotes it.
+    """
+    import reprlib  # loaded on the error path only
+
+    short = reprlib.Repr()
+    short.maxstring = short.maxlong = short.maxother = 60
+    text = short.repr(value)
+    return text if len(text) <= 200 else text[:200] + "..."
+
+
 def _parse_weight(text: object, what: str) -> Fraction:
     if not isinstance(text, str):
-        raise ClassFileError(f"{what} must be a rational string, got {text!r}")
+        raise ClassFileError(f"{what} must be a rational string, got {_quote(text)}")
     try:
         return parse_rational(text)
     except (ValueError, ZeroDivisionError):
-        raise ClassFileError(f"malformed {what} {text!r}") from None
+        raise ClassFileError(f"malformed {what} {_quote(text)}") from None
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
@@ -314,7 +331,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ClassFileError(f"duplicate key {key!r} in class file")
+                raise ClassFileError(f"duplicate key {_quote(key)} in class file")
             seen.add(key)
     return obj
 
@@ -346,7 +363,7 @@ def load_class_with_prior(data: bytes | str) -> tuple[ConceptClass, tuple[Fracti
         raise ClassFileError("class file must be a JSON object")
     unknown = set(raw) - _ALLOWED_KEYS
     if unknown:
-        raise ClassFileError(f"unknown class file keys: {sorted(unknown)}")
+        raise ClassFileError(f"unknown class file keys: {_quote(sorted(unknown))}")
     missing = _REQUIRED_KEYS - set(raw)
     if missing:
         raise ClassFileError(f"missing class file keys: {sorted(missing)}")
@@ -365,14 +382,14 @@ def load_class_with_prior(data: bytes | str) -> tuple[ConceptClass, tuple[Fracti
     rows = []
     for name, bits in entries.items():
         if not isinstance(bits, str):
-            raise ClassFileError(f"concept {name!r} must be a bitstring")
+            raise ClassFileError(f"concept {_quote(name)} must be a bitstring")
         if len(bits) != len(points):
             raise ClassFileError(
-                f"concept {name!r} has bitstring length {len(bits)}, expected {len(points)}"
+                f"concept {_quote(name)} has bitstring length {len(bits)}, expected {len(points)}"
             )
         # int() alone would also take "_", spaces, signs and non-ASCII digits
         if bits.strip("01"):
-            raise ClassValidationError(f"invalid bitstring {bits!r}")
+            raise ClassValidationError(f"invalid bitstring {_quote(bits)}")
         rows.append(int(bits[::-1], 2))
     cls = ConceptClass._from_point_bits(domain, tuple(rows), tuple(entries.keys()))
 

@@ -34,7 +34,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .concepts import Concept, ConceptClass, Domain, _set, _Value
 from .querygraph import QueryGraph
@@ -97,20 +97,46 @@ class Transcript(_Value):
         return bool(self.queries) and self.queries[-1][1].equivalent
 
 
-# hashlib.sha256, fetched by the first derive_seed call: loading hashlib
+# hashlib.sha256, fetched by the first seeded call: loading hashlib
 # sets up OpenSSL, which unseeded commands never need
 _sha256: Callable[[bytes], Any] | None = None
 
 
-def derive_seed(master: int, index: int) -> int:
-    """Stable 64-bit per-trial seed, independent of platform hashing."""
+def _hash(data: bytes) -> Any:
+    """A SHA-256 hash object fed `data`, loading hashlib on first use."""
     global _sha256
     if _sha256 is None:
         import hashlib
 
         _sha256 = hashlib.sha256
-    digest = _sha256(f"{master}/{index}".encode("ascii")).digest()
+    return _sha256(data)
+
+
+def derive_seed(master: int, index: int) -> int:
+    """Stable 64-bit per-trial seed, independent of platform hashing."""
+    digest = _hash(f"{master}/{index}".encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _trial_generators(seed: int, trials: int) -> Iterator[random.Random]:
+    """One generator, yielded for each trial i in range(trials) in the
+    state of random.Random(derive_seed(seed, i)); the one reseeding path
+    of the trial loops here and in :mod:`thicket.staged`.
+
+    The prefix f"{seed}/" is hashed once and each trial hashes its index
+    onto a copy. The reseed is the C seed of random.Random's base class,
+    which random.Random.seed calls for an int after its str/bytes
+    dispatch; the wrapper's other step resets the state of gauss, which
+    nothing here reads, since every draw is getrandbits.
+    """
+    head = _hash(f"{seed}/".encode("ascii"))
+    rng = random.Random()
+    reseed = super(random.Random, rng).seed
+    for i in range(trials):
+        key = head.copy()
+        key.update(b"%d" % i)
+        reseed(int.from_bytes(key.digest()[:8], "big"))
+        yield rng
 
 
 def unit_variate(rng: random.Random) -> Fraction:
@@ -393,21 +419,19 @@ def monte_carlo_trials(
 ) -> TrialSummary:
     """Run seeded independent learning trials and summarize query counts.
 
-    Trial i reseeds one generator with derive_seed(seed, i), so any
-    single trial can be replayed in isolation: its query count is that of
-    run_thicket_learner with random.Random(derive_seed(seed, i)). The
-    trials walk one transition table and count queries without building
-    a transcript.
+    Trial i draws from one generator reseeded to the state of
+    random.Random(derive_seed(seed, i)), so any single trial can be
+    replayed in isolation: its query count is that of run_thicket_learner
+    with that generator. The trials walk one transition table and count
+    queries without building a transcript.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     table, mask = _start(concept_class, target, graph)
     start = table[mask]
     counts: dict[int, int] = {}
-    rng = random.Random()
-    variate = rng.getrandbits
-    for i in range(trials):
-        rng.seed(derive_seed(seed, i))
+    for rng in _trial_generators(seed, trials):
+        variate = rng.getrandbits
         step, n = start, 1
         while step is not None:
             _, _, running, successors = step

@@ -45,7 +45,7 @@ from .concepts import (
 from .learner import (
     QuerySummary,
     TeacherResponse,
-    derive_seed,
+    _trial_generators,
     sample_index,
     teacher_respond,
 )
@@ -510,9 +510,9 @@ def staged_trials(
 ) -> StagedSummary:
     """Seeded staged runs, one prior-drawn target per trial.
 
-    Trial i reseeds one generator with derive_seed(seed, i) and draws its
-    target, then its run, from it, so any single trial can be replayed in
-    isolation with random.Random(derive_seed(seed, i)).
+    Trial i draws its target, then its run, from one generator reseeded
+    to the state of random.Random(derive_seed(seed, i)), so any single
+    trial can be replayed in isolation with that generator.
 
     For the interval family, stage 1 is resolved on at most the
     MAX_CLASS_POINTS - 1 intervals the point cap allows before the first
@@ -532,9 +532,7 @@ def staged_trials(
             ) from None
     counts: list[int] = []
     identified = 0
-    rng = random.Random()
-    for i in range(trials):
-        rng.seed(derive_seed(seed, i))
+    for rng in _trial_generators(seed, trials):
         target = sample_target(family, rng)
         result = run_staged_learner(family, target, rng, stage_cap)
         counts.append(result.queries)

@@ -340,9 +340,6 @@ class StubRng:
     def __init__(self, value):
         self.value = value
 
-    def seed(self, seed):
-        """Reseeding leaves the variate at `value`."""
-
     def getrandbits(self, bits):
         assert bits == 64
         return self.value

@@ -542,6 +542,44 @@ def test_deeply_nested_class_file_exits_3(tmp_path, depth, argv, prefix):
     assert "Traceback" not in proc.stderr
 
 
+LONG = "x" * 1_000_000
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps({"domain": ["a"], "mu": [LONG], "concepts": {}}), "malformed weight 'xxx"),
+        (json.dumps({"domain": ["a"], "mu": ["1"], "concepts": {LONG: 1}}), "concept 'xxx"),
+        (json.dumps({"domain": ["a"], "mu": ["1"], "concepts": {LONG: "01"}}), "concept 'xxx"),
+        # the loader checks the domain before any concept, so this bitstring
+        # is as long as a domain of 5,000 distinct points
+        (json.dumps({"domain": [f"p{k}" for k in range(5000)], "mu": ["1/5000"] * 5000,
+                     "concepts": {"A": "x" * 5000}}), "invalid bitstring 'xxx"),
+        ('{"domain": ["a"], "mu": [' + "[" * 900 + "]" * 900 + '], "concepts": {}}',
+         "weight must be a rational string, got [[[[[[[...]]]]]]]"),
+        (f'{{"domain": [], "mu": [], "concepts": {{"{LONG}": "", "{LONG}": ""}}}}',
+         "duplicate key 'xxx"),
+        (json.dumps({"domain": [], "mu": [], "concepts": {}, **{f"{k}{LONG}": 0 for k in range(9)}}),
+         "unknown class file keys: ['0xx"),
+    ],
+    ids=["mu", "label", "label-length", "bitstring", "nested-mu",
+         "duplicate-key", "unknown-keys"],
+)
+def test_loader_messages_quote_a_bounded_form_of_long_values(tmp_path, text, message):
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "thicket.cli", "ldim", "--class", str(path)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert not proc.stdout
+    assert len(proc.stderr) < 1024
+    assert proc.stderr.decode().startswith(f"thicket ldim: {message}")
+
+
 def test_json_integer_past_the_digit_limit_exits_3(capsys, tmp_path):
     path = tmp_path / "long.json"
     path.write_text('{"domain": ["a"], "mu": [' + "1" * 5000 + '], "concepts": {}}')

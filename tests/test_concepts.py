@@ -21,6 +21,8 @@ from thicket import (
     save_class,
 )
 
+from thicket.concepts import _quote
+
 from helpers import c3, mk_class
 
 
@@ -263,3 +265,27 @@ def test_loaded_empty_class_equals_the_built_one():
     assert cc == ConceptClass(Domain.uniform(("p", "q")), (), ())
     assert len(cc) == 0 and cc.concepts == ()
     assert LdimCache(cc).level_mask(1, 0) == 0
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["", "x" * 58, "0_1", "١٠", 0, -7, 10**59, 0.5, None, True, [[1]], ["a", "b"],
+     {"a": 1}],
+)
+def test_short_values_are_quoted_as_repr_quotes_them(value):
+    assert _quote(value) == repr(value)
+
+
+def test_long_values_are_quoted_within_a_bound():
+    nested = []
+    for _ in range(900):
+        nested = [nested]
+    wide = ["x" * 10**3] * 6
+    for _ in range(5):
+        wide = [wide] * 6
+    for value in ("x" * 10**6, 10**4000, nested, wide, list(range(10**5))):
+        assert len(_quote(value)) <= 203
+    assert _quote("x" * 59).startswith("'xxx") and "..." in _quote("x" * 59)
+    with pytest.raises(ClassValidationError) as raised:
+        Concept.from_bitstring(Domain.uniform(("p", "q")), "x" * 10**6)
+    assert len(str(raised.value)) < 200

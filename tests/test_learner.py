@@ -3,7 +3,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
-from types import SimpleNamespace
 
 import pytest
 
@@ -199,16 +198,18 @@ def test_monte_carlo_first_query_target_draws_nothing(monkeypatch):
     seeded = []
 
     class NoDraws:
-        def seed(self, seed):
-            seeded.append(seed)
-
         def getrandbits(self, bits):
             raise AssertionError("a trial whose first query is the target draws nothing")
 
-    monkeypatch.setattr(learner, "random", SimpleNamespace(Random=NoDraws))
+    def generators(seed, trials, real=learner._trial_generators):
+        for rng in real(seed, trials):
+            seeded.append(rng.getstate())
+            yield NoDraws()
+
+    monkeypatch.setattr(learner, "_trial_generators", generators)
     s = monte_carlo_trials(cc, cc.concepts[first], 25, 6, graph)
     assert s.histogram == ((1, 25),)
-    assert seeded == [derive_seed(6, i) for i in range(25)]
+    assert seeded == [random.Random(derive_seed(6, i)).getstate() for i in range(25)]
 
 
 def test_monte_carlo_boundary_variate_passes_to_the_next_point(monkeypatch):
@@ -218,11 +219,29 @@ def test_monte_carlo_boundary_variate_passes_to_the_next_point(monkeypatch):
     # after x1. Strict > passes to x2, which leaves only the target; x1
     # would keep c1 as well and cost one more query.
     mu = (Fraction(3, 10), Fraction(1, 5), Fraction(1, 10), Fraction(2, 5))
-    monkeypatch.setattr(learner, "random", SimpleNamespace(Random=lambda: StubRng(2**63)))
+    monkeypatch.setattr(
+        learner, "_trial_generators", lambda seed, trials: [StubRng(2**63)] * trials
+    )
     cc = mk_class(["0000", "1001", "1110"], mu=mu)
     assert monte_carlo_trials(cc, cc.concepts[2], 7, seed=0).histogram == ((2, 7),)
     pair = mk_class(["0000", "1110"], mu=mu)
     assert monte_carlo_trials(pair, pair.concepts[1], 7, seed=0).histogram == ((2, 7),)
+
+
+@pytest.mark.parametrize("seed", [0, 5, -7, 2**70])
+def test_trial_generators_match_generators_seeded_by_derive_seed(seed):
+    # indices cross the one-, two-, three- and five-digit boundaries
+    indices = (0, 9, 10, 99, 100, 12345)
+    states = {
+        i: rng.getstate()
+        for i, rng in enumerate(learner._trial_generators(seed, indices[-1] + 1))
+        if i in indices
+    }
+    assert states == {i: random.Random(derive_seed(seed, i)).getstate() for i in indices}
+    # one generator serves every trial
+    rngs = list(learner._trial_generators(seed, 3))
+    assert rngs[0] is rngs[1] is rngs[2]
+    assert list(learner._trial_generators(seed, 0)) == []
 
 
 def test_monte_carlo_rejects_a_target_outside_the_class():

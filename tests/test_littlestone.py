@@ -314,3 +314,39 @@ def test_is_exceptional_matches_every_labeled_restriction():
             assert is_exceptional(cc, sample) == expected
     with pytest.raises(ValueError, match="sample labels must be 0 or 1"):
         is_exceptional(c3(), {"x1": 0, "x2": 2})
+
+
+def test_a_split_can_leave_both_sides_two_below_the_class():
+    # ldim(A ∪ B) <= max(ldim A, ldim B) + 1 does not hold: restricting
+    # this class of ldim 3 at x4 leaves two sides of ldim 1 each
+    bitstrings = ["0100", "0010", "0110", "1110", "1001", "0101", "1101", "1111"]
+    patterns = [tuple(map(int, b)) for b in bitstrings]
+    cache = LdimCache(mk_class(bitstrings))
+    assert ref_ldim(patterns) == cache.ldim_mask(cache.full_mask) == 3
+    for label in (0, 1):
+        side = [c for c in patterns if c[3] == label]
+        assert ref_ldim(side) == cache.ldim_mask(cache.level_mask(3, label)) == 1
+
+
+def test_split_sides_sum_to_at_least_one_below_the_class():
+    # ldim(A ∪ B) <= ldim A + ldim B + 1, by induction on ldim A + ldim B:
+    # at the root point of a deepest tree of A ∪ B, A loses a level on one
+    # side, and both subtrees below the root are one level shallower
+    sums_bound = max_bound_fails = 0
+    for k in range(200):
+        rng = random.Random(f"split sides {k}")
+        n = rng.randint(4, 6)
+        cc = mk_class(
+            [format(v, f"0{n}b") for v in rng.sample(range(2**n), rng.randint(4, min(24, 2**n)))]
+        )
+        cache = LdimCache(cc)
+        d = cache.ldim_mask(cache.full_mask)
+        for p in range(n):
+            zeros = cache.restrict_mask(cache.full_mask, p, 0)
+            if zeros in (0, cache.full_mask):
+                continue
+            d0, d1 = cache.ldim_mask(zeros), cache.ldim_mask(cache.full_mask ^ zeros)
+            assert d0 + d1 >= d - 1, (k, p)
+            sums_bound += 1
+            max_bound_fails += max(d0, d1) < d - 1
+    assert sums_bound > 500 and max_bound_fails > 0

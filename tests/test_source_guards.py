@@ -224,3 +224,54 @@ def test_no_module_loads_dataclasses_or_hashlib_on_import():
             if name in NEVER_IMPORTED or (top and name in NOT_AT_MODULE_LEVEL):
                 hits.append(hit)
     assert hits == []
+
+
+# trial loops reseed through one path, which matches
+# random.Random(derive_seed(seed, i)) at the cost of the C reseed alone
+RESEED_HELPERS = frozenset({("learner", "_trial_generators")})
+
+
+def seed_reads(source, module):
+    """(module, enclosing function, line) per generator reseed: a ``seed``
+    attribute that is called, or read off a call such as ``super()``."""
+    hits = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "seed":
+                hits.append((module, scope, func.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr == "seed":
+            if isinstance(node.value, ast.Call):
+                hits.append((module, scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(set(hits), key=lambda hit: hit[2])
+
+
+def test_seed_scan_sees_each_kind_of_reseed():
+    source = (
+        "def trials(rng, args):\n"
+        "    rng.seed(1)\n"
+        "    random.Random.seed(rng, 2)\n"
+        "    reseed = super(random.Random, rng).seed\n"
+        "    return args.seed, summary.seed\n"
+        "random.seed(3)\n"
+    )
+    assert seed_reads(source, "m") == [
+        ("m", "trials", 2),
+        ("m", "trials", 3),
+        ("m", "trials", 4),
+        ("m", "", 6),
+    ]
+
+
+def test_only_the_trial_helper_reseeds_a_generator():
+    hits = []
+    for module in MODULES:
+        hits += seed_reads((SRC / f"{module}.py").read_text(encoding="utf-8"), module)
+    assert {hit[:2] for hit in hits} == RESEED_HELPERS, hits
