@@ -30,6 +30,7 @@ from .concepts import (
     MAX_CLASS_POINTS,
     ClassValidationError,
     ConceptClass,
+    _TooManyPoints,
     load_class,
     load_class_with_prior,
     parse_rational,
@@ -93,18 +94,22 @@ def _report(payload: dict[str, Any], output: str | None) -> None:
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", output)
 
 
-def _read_class(path: str) -> ConceptClass:
+def _load(path: str, loader: Callable[..., Any]) -> Any:
+    """A class file read by `loader`; one of more than MAX_CLASS_POINTS
+    points is refused before its weights are parsed."""
     with open(path, "rb") as fh:
-        return _within_size(load_class(fh.read()), path)
-
-
-def _within_size(cc: ConceptClass, path: str) -> ConceptClass:
-    if len(cc.domain) > MAX_CLASS_POINTS:
+        data = fh.read()
+    try:
+        return loader(data, capped=True)
+    except _TooManyPoints as exc:
         raise ClassValidationError(
-            f"class file {path!r} has {len(cc.domain)} points;"
+            f"class file {path!r} has {exc.points} points;"
             f" at most {MAX_CLASS_POINTS} are supported"
-        )
-    return cc
+        ) from None
+
+
+def _read_class(path: str) -> ConceptClass:
+    return _load(path, load_class)
 
 
 def _bound_replay(
@@ -194,9 +199,7 @@ def cmd_staged(args: argparse.Namespace) -> int:
         family = IntervalFamily(_parse_ratio(args.prior_geometric))
     elif args.family.startswith("file:"):
         path = args.family[len("file:"):]
-        with open(path, "rb") as fh:
-            cc, tau = load_class_with_prior(fh.read())
-        _within_size(cc, path)
+        cc, tau = _load(path, load_class_with_prior)
         if tau is None:
             raise UsageError(f"class file {path!r} has no tau prior")
         family = FiniteFamily(cc, tau, name=args.family)

@@ -37,13 +37,13 @@ its lowest dropping point, and the leaves are the samples, each with its
 realizer mask. `greedy_run` and `compress` walk the realizers of one
 sample, which give one leaf, and `build_reconstructors` names the
 decoders' points. `certify_scheme` grows the point sets depth first, one
-higher point at a time, and derives each set's leaves from those of the
-set without its highest point: full runs carry over, and only early
-halts scan on, over the new point. Each shared step is so taken once and
-not once per sample or per point set. It reports violations, none of
-which should exist; decoders are pure functions of their tuple, so it
-evaluates each at most once per distinct tuple, trying first the one the
-tuple's shape names.
+higher point at a time, and resumes the leaves of the set without its
+highest point over the new point, so each shared step is taken once.
+Verdicts carry down too: a resumed leaf keeps its tuple, so the answer
+that recovered it is tested at the new point alone, and a full run
+decoded to its realizer's whole labeling is settled on every larger set.
+Decoders are pure functions of their tuple, so each is evaluated at most
+once per distinct tuple, the one the tuple's shape names first.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def _realizers(cache: LdimCache, mask: int, points: Sequence[int], key: int) -> 
     return mask
 
 
-Leaf = tuple[int, int, tuple[int, ...], tuple[int, ...], int]
+Leaf = tuple[int, int, tuple[int, ...], tuple[int, ...], int, int]
 Level = tuple[int, int, int, int]
 
 
@@ -86,49 +86,56 @@ def _levels(cache: LdimCache, points: Iterable[int]) -> list[Level]:
 
 
 def _walk(
-    cache: LdimCache, d: int, levels: list[Level], stack: list[Leaf], leaves: list[Leaf]
+    cache: LdimCache, d: int, levels: list[Level], stack: list[Leaf], leaves: list[Leaf],
+    held: list[Leaf] | None = None,
 ) -> list[Leaf]:
     """Walk the greedy runs of the nodes on `stack` over the ascending
     points `levels`, as one prefix tree; append its leaves to `leaves`.
 
-    A node is ``(class, group, ones, zeros, scanned)``: a subclass, the
-    group of concepts whose samples reach it, the points pinned with
-    labels 1 and 0 so far, and how many of `levels` its scan has passed.
-    Its keep table is read once; scanning on from there, the group's
-    concepts whose label drops the dimension at a point are pinned there
-    and form a child (scanned 0), and at a point where both labels drop
-    it the rest splits by label. A child with d pins (its class is one
+    A node is ``(class, group, ones, zeros, scanned, got)``: a subclass,
+    the group of concepts whose samples reach it, the points pinned with
+    labels 1 and 0 so far, how many of `levels` its scan has passed, and
+    label bits that recovered its sample on those points, or -1. Its
+    keep table is read once; scanning on from there, the group's concepts
+    whose label drops the dimension at a point are pinned there and form
+    a child (scanned 0, got -1), and at a point where both labels drop it
+    the rest splits by label. A child with d pins (its class is one
     concept) is a full run; a scan that ends with concepts left is an
     early halt, since those all carry the labels that keep the dimension.
     Either way the leaf is one sample, and its group is that sample's
     realizer mask. Returns `leaves`, in no set order.
 
-    An early halt over some points resumes over one more, higher point
-    from where it stopped: the nodes scanned before are the same, and a
-    child pinned at the new point does not split there, so its walk over
-    the larger set is its walk over the smaller one.
+    A leaf over some points resumes over one more, higher point from
+    where it stopped: a child pinned at the new point does not split
+    there, so its walk over the larger set is its walk over the smaller
+    one. The label kept at the new point is its sample's there, so a
+    resumed leaf whose `got` reads it goes to `held`, the others with
+    got -1 to `leaves`.
     """
-    keeps, end = cache.keeps, len(levels)
+    keeps, known, end = cache.keeps, cache._keeps.get, len(levels)
     while stack:
-        sub, rest, ones, zeros, scanned = stack.pop()
+        sub, rest, ones, zeros, scanned, got = stack.pop()
         # a child that pins the d-th point is a full run
         out = leaves if len(ones) + len(zeros) + 1 == d else stack
-        keep0, keep1 = keeps(sub)
+        keep0, keep1 = known(sub) or keeps(sub)  # a memo hit skips the call
         for bit, p, at0, at1 in levels[scanned:]:
             if not keep1 & bit:
                 moved = rest & at1
                 if moved:
                     rest ^= moved
-                    out.append((sub & at1, moved, ones + (p,), zeros, 0))
+                    out.append((sub & at1, moved, ones + (p,), zeros, 0, -1))
             if not keep0 & bit:
                 moved = rest & at0
                 if moved:
                     rest ^= moved
-                    out.append((sub & at0, moved, ones, zeros + (p,), 0))
+                    out.append((sub & at0, moved, ones, zeros + (p,), 0, -1))
             if not rest:
                 break
         else:
-            leaves.append((sub, rest, ones, zeros, end))
+            if got < 0 or (got ^ keep1) & bit:
+                leaves.append((sub, rest, ones, zeros, end, -1))
+            else:
+                held.append((sub, rest, ones, zeros, end, got))
     return leaves
 
 
@@ -215,7 +222,7 @@ def _index_run(
     if realizers == 0:
         raise ValueError("sample is not realizable by the class")
     d = cache.ldim_mask(mask)
-    (leaf,) = _walk(cache, d, _levels(cache, points), [(mask, realizers, (), (), 0)], [])
+    (leaf,) = _walk(cache, d, _levels(cache, points), [(mask, realizers, (), (), 0, -1)], [])
     return d, points, leaf
 
 
@@ -243,7 +250,7 @@ def greedy_run(
     cache: LdimCache | None = None,
 ) -> GreedyRun:
     """Run the greedy dimension-dropping pass; see the module docstring."""
-    d, _, (_, _, ones, zeros, _) = _index_run(concept_class, sample, cache)
+    d, _, (_, _, ones, zeros, _, _) = _index_run(concept_class, sample, cache)
     names = concept_class.domain.points
     return GreedyRun(
         tuple(names[p] for p in ones),
@@ -265,7 +272,7 @@ def compress(
     (zeros..., zeros[0], zeros[0]...), and an immediate halt repeats the
     first sample point in domain order d times.
     """
-    d, points, (_, _, ones, zeros, _) = _index_run(concept_class, sample, cache)
+    d, points, (_, _, ones, zeros, _, _) = _index_run(concept_class, sample, cache)
     tup = _pad(ones, zeros, d, points[0])
     return tuple(concept_class.domain.points[p] for p in tup)
 
@@ -336,13 +343,13 @@ def certify_scheme(
     of size up to `max_sample_size` (the whole domain by default): the
     leaves of the subset's walk. The subsets are searched depth first,
     each adding one point above its parent's and resuming the parent's
-    early halts there, on an explicit stack that holds at most one leaf
-    list per subset size. A sample fails when it is not realizable, its
-    tuple is not d of its own points, or no reconstructor returns a
-    concept agreeing with it; failures are listed by subset size, then
-    subset in `combinations` order, then lowest realizer. Decoders are
-    pure functions of their tuple, so each is evaluated at most once per
-    distinct tuple.
+    leaves there, on an explicit stack that holds at most one leaf list
+    per subset size. A sample fails when it is not realizable, its tuple
+    is not d of its own points, or no reconstructor returns a concept
+    agreeing with it; failures are listed by subset size, then subset in
+    `combinations` order, then lowest realizer. A resumed leaf is checked
+    afresh only when the answer it carries misses the new point, and a
+    full run decoded to its one realizer is only counted from then on.
     """
     cache, mask = _root(concept_class, cache)
     n = len(concept_class.domain)
@@ -355,32 +362,27 @@ def certify_scheme(
     names = concept_class.domain.points
     tested = 0
     failures: list[tuple[tuple[int, tuple[int, ...], int], dict[str, Any]]] = []
-    # depth first over the subsets, each with its parent's leaves: the
-    # empty set's one leaf is the whole class, before any point is scanned
+    # depth first over the subsets, each with its parent's unsettled
+    # leaves and its count of settled runs: the empty set's one leaf is
+    # the whole class, before any point is scanned
     table = _levels(cache, range(n))
-    todo: list[tuple[tuple[int, ...], int, list[Leaf]]] = [
-        ((p,), 1 << p, [(mask, mask, (), (), 0)]) for p in reversed(range(n))
+    todo: list[tuple[tuple[int, ...], int, list[Leaf], int]] = [
+        ((p,), 1 << p, [(mask, mask, (), (), 0, -1)], 0) for p in reversed(range(n))
     ]
     while todo:
-        points, subset, parent = todo.pop()
-        leaves: list[Leaf] = []
-        halts: list[Leaf] = []
-        for leaf in parent:
-            (leaves if len(leaf[2]) + len(leaf[3]) == d else halts).append(leaf)
-        _walk(cache, d, [table[p] for p in points], halts, leaves)
-        if len(points) < limit:
-            todo.extend(
-                (points + (p,), subset | 1 << p, leaves)
-                for p in reversed(range(points[-1] + 1, n))
-            )
+        points, subset, carried, settled = todo.pop()
+        held: list[Leaf] = []
+        fresh = _walk(cache, d, [table[p] for p in points], carried[:], [], held)
+        tested += len(fresh) + len(held) + settled
         inside = frozenset(points).issuperset
-        tested += len(leaves)
-        for _, realizers, ones, zeros, _ in leaves:
+        for sub, realizers, ones, zeros, scanned, _ in fresh:
             # the leaf's sample, read off its lowest realizer (a leaf
             # with none would be a fault of the walk, reported below)
-            key = bits[(realizers & -realizers).bit_length() - 1] & subset
+            row = bits[(realizers & -realizers).bit_length() - 1]
+            key = row & subset
             tup = _pad(ones, zeros, d, points[0])
-            problem = None
+            full = len(ones) + len(zeros) == d
+            got, problem = -1, None
             if not realizers:
                 problem = "sample is not realizable by the class"
             elif len(tup) != d:
@@ -391,17 +393,27 @@ def certify_scheme(
                 # try first the decoder the tuple's shape names: rho_i
                 # for a full run with i ones, and the label of the
                 # tuple's first point for an early halt
-                full = len(ones) + len(zeros) == d
-                first = rhos[len(ones) if full else key >> tup[0] & 1]
-                if (first(tup) ^ key) & subset and not any(
-                    (rho(tup) ^ key) & subset == 0 for rho in rhos
-                ):
-                    problem = "no reconstructor recovers the sample"
+                for rho in (rhos[len(ones) if full else key >> tup[0] & 1], *rhos):
+                    got = rho(tup)
+                    if not (got ^ key) & subset:
+                        break
+                else:
+                    got, problem = -1, "no reconstructor recovers the sample"
             if problem is not None:
                 sample = {names[p]: key >> p & 1 for p in points}
-                named = [names[p] for p in tup]
-                failure = {"sample": sample, "tuple": named, "reason": problem}
+                failure = {"sample": sample, "tuple": [names[p] for p in tup], "reason": problem}
                 failures.append(((len(points), points, realizers & -realizers), failure))
+            if full and got == row:
+                # its one realizer's whole labeling: it passes on every
+                # superset, where it is only counted
+                settled += 1
+            else:
+                held.append((sub, realizers, ones, zeros, scanned, got))
+        if len(points) < limit:
+            todo.extend(
+                (points + (p,), subset | 1 << p, held, settled)
+                for p in reversed(range(points[-1] + 1, n))
+            )
     # by subset size, then subset, then first-seen concept
     failures.sort(key=lambda failure: failure[0])
     return CompressionReport(

@@ -56,6 +56,14 @@ class ClassFileError(ClassValidationError):
     """A class file cannot be parsed into a valid concept class."""
 
 
+class _TooManyPoints(ClassFileError):
+    """A class file lists more domain points than its reader's cap."""
+
+    def __init__(self, points: int) -> None:
+        super().__init__(f"class file has {points} points; at most {MAX_CLASS_POINTS} are supported")
+        self.points = points
+
+
 class DomainMismatchError(ValueError):
     """An operation mixed points or concepts from different domains."""
 
@@ -336,13 +344,16 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return obj
 
 
-def load_class_with_prior(data: bytes | str) -> tuple[ConceptClass, tuple[Fraction, ...] | None]:
+def load_class_with_prior(
+    data: bytes | str, capped: bool = False
+) -> tuple[ConceptClass, tuple[Fraction, ...] | None]:
     """Parse a class file, returning the class and its optional prior.
 
     The prior ("tau") assigns one nonnegative rational to each concept,
     summing to at most 1; a sum below 1 marks a truncated enumeration.
     A key repeated within any JSON object of the file is an error, not a
-    silent overwrite.
+    silent overwrite. With `capped`, a file of more than MAX_CLASS_POINTS
+    points is refused before any weight is parsed.
     """
     if isinstance(data, bytes):
         try:
@@ -371,6 +382,8 @@ def load_class_with_prior(data: bytes | str) -> tuple[ConceptClass, tuple[Fracti
     points = raw["domain"]
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
         raise ClassFileError('"domain" must be a list of point names')
+    if capped and len(points) > MAX_CLASS_POINTS:
+        raise _TooManyPoints(len(points))
     weights = raw["mu"]
     if not isinstance(weights, list) or len(weights) != len(points):
         raise ClassFileError('"mu" must list one weight per domain point')
@@ -406,9 +419,10 @@ def load_class_with_prior(data: bytes | str) -> tuple[ConceptClass, tuple[Fracti
     return cls, tau
 
 
-def load_class(data: bytes | str) -> ConceptClass:
-    """Parse a class file. Any "tau" entry is validated and dropped."""
-    return load_class_with_prior(data)[0]
+def load_class(data: bytes | str, capped: bool = False) -> ConceptClass:
+    """Parse a class file. Any "tau" entry is validated and dropped;
+    `capped` is as for `load_class_with_prior`."""
+    return load_class_with_prior(data, capped)[0]
 
 
 def save_class(concept_class: ConceptClass, tau: Iterable[Fraction] | None = None) -> bytes:

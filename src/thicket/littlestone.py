@@ -32,13 +32,14 @@ the dimension lost by restricting to label 0 and to label 1. At any
 other point one side is the subclass and the other is empty, losing
 ldim + 1 since ``ldim_mask(0) == -1``, so `drop` and `verify`'s
 per-point sums read every point as ``ldim(C) - ldim(C at a = v)``. The
-query graph prices its edges by the split table. Its zeros form the keep
-table, memoized per mask as point bitmasks ``(keep0, keep1)``, where the
-members' common label keeps at a point that does not split them. A
-labeled sample with points ``subset`` and label bits ``key`` drops the
-dimension exactly at ``subset & ~(keep1 & key | keep0 & ~key)``, which
-is how exceptional samples, canonical partial labelings and the
-compression greedy are read.
+query graph prices its edges by the split table. The keep table,
+memoized per mask as point bitmasks ``(keep0, keep1)``, marks its zeros
+from one decision ``ldim(side) >= ldim(C)`` per side, not the side's
+value; where the members agree, their common label keeps. A labeled
+sample with points ``subset`` and label bits ``key`` drops the dimension
+exactly at ``subset & ~(keep1 & key | keep0 & ~key)``, which is how
+exceptional samples, canonical partial labelings and the compression
+greedy are read.
 """
 
 from __future__ import annotations
@@ -114,21 +115,33 @@ class LdimCache:
         """Point bitmasks ``(keep0, keep1)`` of a nonempty subclass: the
         points where restricting it to label 0 (resp. 1) drops nothing.
 
-        At most one label keeps the dimension at a point, so the two masks
-        are disjoint. Memoized per mask.
+        A side keeps the dimension d when ldim(side) >= d, so each side is
+        one decision, not an exact value. At most one label keeps the
+        dimension at a point, so the two masks are disjoint. Memoized per
+        mask.
         """
+        if not mask:
+            raise ValueError("the empty class has no keep table")
         hit = self._keeps.get(mask)
         if hit is not None:
             return hit
+        d = self.ldim_mask(mask)
+
+        def kept(side: int) -> bool:
+            # 2**d members and, for d >= 2, a mistake tree of depth d
+            return side.bit_count() >= 1 << d and (d < 2 or self._at_least(side, d))
+
         split = keep0 = keep1 = 0
-        for p, _, drop0, drop1 in self.splits(mask):
-            split |= 1 << p
-            if not drop0:
-                if not drop1:
-                    raise AssertionError("both labels keep the dimension; ldim is inconsistent")
-                keep0 |= 1 << p
-            elif not drop1:
-                keep1 |= 1 << p
+        for p, (zeros, _) in enumerate(self._level_masks):
+            zeros &= mask
+            if zeros and zeros != mask:
+                split |= 1 << p
+                if kept(mask ^ zeros):
+                    if kept(zeros):
+                        raise AssertionError("both labels keep the dimension; ldim is inconsistent")
+                    keep1 |= 1 << p
+                elif kept(zeros):
+                    keep0 |= 1 << p
         # elsewhere the members' common label keeps everything
         labels = self.point_bits[mask.bit_length() - 1] & ~split
         keep0 |= (1 << len(self._level_masks)) - 1 & ~split & ~labels

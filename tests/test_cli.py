@@ -7,12 +7,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from thicket import Concept, ConceptClass, Domain, LdimCache, __version__, load_class
+from thicket import ClassValidationError, Concept, ConceptClass, Domain, LdimCache
+from thicket import __version__, load_class
 from thicket import QueryGraph, cli, compression, exact_expected_queries, ldim
 from thicket.cli import main
 from thicket.generate import random_class, random_classes
@@ -494,6 +496,48 @@ def test_compress_verify_exits_one_on_failures(capsys, c3_file, monkeypatch):
     assert json.loads(out)["report"]["failures"]
 
 
+# sha256 of `compress --verify` reports on `gen --points 8 --concepts 64`
+# classes and of `verify --class` reports on `gen --points 6 --concepts 12`
+# classes, keyed by (command, gen seed); "zero" is `compress --verify` on
+# the seed-0 wide class with every decoder answering all zeros, whose
+# failure list is long. Taken before the replay carried verdicts down the
+# subset tree.
+REPLAY_PINS = {
+    ("compress", 0): "18eef2a852413ba2a50e71fb725bfa570ae7a5d877d929511af9b636fcc9a457",
+    ("compress", 1): "21822e639e2f4fa2c76971fef62721c3b3c0bbf5b20057a2580bb25490dc1e4a",
+    ("compress", 2): "dac014292bc365631db056218b88cc46b369a4c692191a976f7a9adcb7d9c1c2",
+    ("verify", 0): "1b01127a590bb83ce5db9b8addf895ac10ef917136d1e9aaf09a8b7799cdd459",
+    ("verify", 1): "d91c5205580819348cde2c72c455f2e0fcc4c50a42a7723d51b67547b4382bc2",
+    ("verify", 2): "b7ff98c39088e378d098c6f9085b3fe5bc31dce5e18a1489dbf6d5469e7bec58",
+    ("zero", 0): "f53bb84e6bd51990fae4e1c1b4d1ed85ffab6667b886c225e59487e976e578b5",
+}
+
+
+def test_replay_reports_match_pinned_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def digest(argv, expected_code):
+        code, out, _ = run(capsys, argv)
+        assert code == expected_code
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    for seed in range(3):
+        for name, points, concepts in ((f"w{seed}.json", 8, 64), (f"v{seed}.json", 6, 12)):
+            argv = ["gen", "--seed", str(seed), "--points", str(points),
+                    "--concepts", str(concepts), "--output", name]
+            assert run(capsys, argv)[0] == 0
+        compress = digest(["compress", "--class", f"w{seed}.json", "--verify"], 0)
+        assert compress == REPLAY_PINS["compress", seed]
+        assert digest(["verify", "--class", f"v{seed}.json"], 0) == REPLAY_PINS["verify", seed]
+    monkeypatch.setattr(
+        compression,
+        "_index_decoders",
+        lambda cache, mask: (lambda points: 0,) * (cache.ldim_mask(mask) + 1),
+    )
+    zero = digest(["compress", "--class", "w0.json", "--verify"], 1)
+    assert zero == REPLAY_PINS["zero", 0]
+
+
 @pytest.mark.parametrize(
     "tau, seed, message",
     [
@@ -551,10 +595,6 @@ LONG = "x" * 1_000_000
         (json.dumps({"domain": ["a"], "mu": [LONG], "concepts": {}}), "malformed weight 'xxx"),
         (json.dumps({"domain": ["a"], "mu": ["1"], "concepts": {LONG: 1}}), "concept 'xxx"),
         (json.dumps({"domain": ["a"], "mu": ["1"], "concepts": {LONG: "01"}}), "concept 'xxx"),
-        # the loader checks the domain before any concept, so this bitstring
-        # is as long as a domain of 5,000 distinct points
-        (json.dumps({"domain": [f"p{k}" for k in range(5000)], "mu": ["1/5000"] * 5000,
-                     "concepts": {"A": "x" * 5000}}), "invalid bitstring 'xxx"),
         ('{"domain": ["a"], "mu": [' + "[" * 900 + "]" * 900 + '], "concepts": {}}',
          "weight must be a rational string, got [[[[[[[...]]]]]]]"),
         (f'{{"domain": [], "mu": [], "concepts": {{"{LONG}": "", "{LONG}": ""}}}}',
@@ -562,8 +602,7 @@ LONG = "x" * 1_000_000
         (json.dumps({"domain": [], "mu": [], "concepts": {}, **{f"{k}{LONG}": 0 for k in range(9)}}),
          "unknown class file keys: ['0xx"),
     ],
-    ids=["mu", "label", "label-length", "bitstring", "nested-mu",
-         "duplicate-key", "unknown-keys"],
+    ids=["mu", "label", "label-length", "nested-mu", "duplicate-key", "unknown-keys"],
 )
 def test_loader_messages_quote_a_bounded_form_of_long_values(tmp_path, text, message):
     path = tmp_path / "long.json"
@@ -578,6 +617,42 @@ def test_loader_messages_quote_a_bounded_form_of_long_values(tmp_path, text, mes
     assert not proc.stdout
     assert len(proc.stderr) < 1024
     assert proc.stderr.decode().startswith(f"thicket ldim: {message}")
+
+
+# the loader checks the domain before any concept, so this bitstring is as
+# long as a domain of 5,000 distinct points; the CLI refuses such a domain
+# at the point cap, before the concepts, so the library loader reads it
+LONG_BITSTRING = json.dumps({"domain": [f"p{k}" for k in range(5000)],
+                             "mu": ["1/5000"] * 5000, "concepts": {"A": "x" * 5000}})
+
+
+def test_loader_message_quotes_a_bounded_form_of_a_long_bitstring():
+    with pytest.raises(ClassValidationError) as caught:
+        load_class(LONG_BITSTRING)
+    assert len(str(caught.value)) < 1024
+    assert str(caught.value).startswith("invalid bitstring 'xxx")
+
+
+def test_oversized_class_file_exits_3_before_its_weights_are_parsed(capsys, tmp_path):
+    # 200,000 points, about 4.7 MB: parsing every weight and building the
+    # class took seconds; json.loads alone takes a few hundredths
+    n = 200_000
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"domain": [f"x{k}" for k in range(n)], "mu": [f"1/{n}"] * n,
+                                "concepts": {"A": "0" * n, "B": "1" * n}}))
+    wide = tmp_path / "wide.json"
+    wide.write_text(LONG_BITSTRING)
+    for path, points in ((huge, n), (wide, 5000)):
+        started = time.perf_counter()
+        code, out, err = run(capsys, ["ldim", "--class", str(path)])
+        elapsed = time.perf_counter() - started
+        assert code == 3
+        assert not out
+        assert err.startswith(
+            f"thicket ldim: class file {str(path)!r} has {points} points;"
+            " at most 256 are supported\n"
+        )
+        assert elapsed < 0.5
 
 
 def test_json_integer_past_the_digit_limit_exits_3(capsys, tmp_path):

@@ -17,6 +17,7 @@ from thicket import (
 )
 from thicket import compression
 from thicket.generate import random_class
+from thicket.learner import derive_seed
 
 from helpers import (
     all_three_point_classes,
@@ -414,13 +415,15 @@ def test_walk_leaves_are_the_samples_with_their_realizers():
         for size in range(1, n + 1):
             for points in combinations(range(n), size):
                 subset = sum(1 << p for p in points)
-                root = [(mask, mask, (), (), 0)]
+                root = [(mask, mask, (), (), 0, -1)]
                 leaves = compression._walk(cache, d, compression._levels(cache, points), root, [])
-                groups = [realizers for _, realizers, _, _, _ in leaves]
+                groups = [realizers for _, realizers, _, _, _, _ in leaves]
                 assert all(groups) and sum(groups) == mask
                 keys = {bits[(g & -g).bit_length() - 1] & subset for g in groups}
                 assert len(keys) == len(leaves) == len({c & subset for c in bits})
-                for sub, realizers, ones, zeros, scanned in leaves:
+                for sub, realizers, ones, zeros, scanned, got in leaves:
+                    # a walk from the root has no verdict to inherit
+                    assert got == -1
                     key = bits[(realizers & -realizers).bit_length() - 1] & subset
                     expected = mask
                     for p in points:
@@ -528,3 +531,84 @@ def test_decoders_match_plain_restrictions_on_every_tuple():
     # (x1, x2, x1, x2) on the cube repeats x2 in both blocks: it is pinned
     # positive, then negative, so rho_1 falls back to the lowest concept
     assert compression._index_decoders(LdimCache(cube), 0xFFFF)[1]((0, 1, 0, 1)) == 0
+
+
+def flipped_decoders(point):
+    """The scheme's own decoders, each answering the wrong label at point
+    index `point` (negative counts from the top) and the right one elsewhere."""
+    real = compression._index_decoders
+
+    def decoders(cache, mask):
+        bit = 1 << point % len(cache.root.domain)
+        return tuple(lambda points, rho=rho: rho(points) ^ bit for rho in real(cache, mask))
+
+    return decoders
+
+
+def flipped_oracle(patterns, names, dim, point):
+    """The report `certify_scheme` gives under `flipped_decoders(point)`, from
+    `ref_greedy`, the documented padding, `ref_decode` and first-seen order."""
+    d, point = dim(patterns), point % len(patterns[0])
+    tested, failures = 0, []
+    for sample in ref_samples_in_report_order(patterns):
+        tested += 1
+        tup = padded(*ref_greedy(patterns, sample, dim), sample, d)
+        answers = [ref_decode(patterns, i, tup, dim) for i in range(d + 1)]
+        if not any(all(a[p] ^ (p == point) == v for p, v in sample.items()) for a in answers):
+            failures.append(
+                {
+                    "sample": {names[p]: label for p, label in sample.items()},
+                    "tuple": [names[p] for p in tup],
+                    "reason": "no reconstructor recovers the sample",
+                }
+            )
+    return {"d": d, "rho_count": d + 1, "samples_tested": tested, "failures": failures}
+
+
+@pytest.mark.parametrize("point", [-1, 1])
+def test_carried_verdicts_fail_exactly_where_the_decoders_do(monkeypatch, point):
+    """A sample recovered on its points below the new one carries that
+    verdict up the subset tree; under decoders wrong only at `point`, the
+    failures are the oracle's, in report order, and all lie on subsets
+    holding `point`."""
+    dim = functools.cache(ref_ldim)
+    failed = Counter()
+    for cc in oracle_classes():
+        monkeypatch.setattr(compression, "_index_decoders", flipped_decoders(point))
+        report = certify_scheme(cc).as_dict()
+        monkeypatch.undo()
+        patterns = tuple(c.bits for c in cc.concepts)
+        names = cc.domain.points
+        assert report == flipped_oracle(patterns, names, dim, point)
+        flipped = names[point % len(names)]
+        assert all(flipped in failure["sample"] for failure in report["failures"])
+        failed.update(len(failure["sample"]) for failure in report["failures"])
+    # failures on the point alone and on larger subsets holding it
+    assert failed[1] and sum(failed.values()) > failed[1]
+
+
+def test_keep_tables_match_plain_dimension_drops():
+    """At every mask the replay reads, the walk's included, each side of a
+    split keeps the dimension exactly when its plain recursion says so."""
+    dim = functools.cache(ref_ldim)
+    drawn = [random_class(random.Random(derive_seed(seed, 0)), 6, 20, 6, 20) for seed in (0, 1)]
+    seen = Counter()
+    for cc in [*oracle_classes(), *drawn]:
+        cache = LdimCache(cc)
+        real, reached = cache.keeps, []
+        cache.keeps = lambda mask: reached.append(mask) or real(mask)
+        certify_scheme(cc, cache=cache)
+        patterns = [c.bits for c in cc.concepts]
+        for mask in dict.fromkeys(reached):
+            members = tuple(c for i, c in enumerate(patterns) if mask >> i & 1)
+            d = dim(members)
+            keep = [0, 0]
+            for p in range(len(cc.domain)):
+                for label in (0, 1):
+                    side = tuple(c for c in members if c[p] == label)
+                    keep[label] |= (dim(side) == d) << p
+                    seen["side of exactly 2**d, d >= 2"] += d >= 2 and len(side) == 1 << d
+            assert real(mask) == tuple(keep)
+            seen[f"d = {min(d, 2)}"] += 1
+    assert set(seen) == {"d = 0", "d = 1", "d = 2", "side of exactly 2**d, d >= 2"}
+    assert all(seen.values())

@@ -217,6 +217,13 @@ def check_keeps(cache, patterns, mask, dim):
     }
 
 
+def test_keeps_refuses_the_empty_class():
+    cache = LdimCache(random_class(random.Random(1), 4, 6, 4, 6))
+    with pytest.raises(ValueError, match="^the empty class has no keep table$"):
+        cache.keeps(0)
+    assert 0 not in cache._keeps
+
+
 def test_keeps_matches_plain_recursion_on_three_points():
     dim = functools.cache(ref_ldim)
     for cc in all_three_point_classes():
