@@ -25,12 +25,14 @@ and returns them as Fractions. Each concept's outgoing edges within a
 subclass are packed into one row of fixed-width integer lanes, built by
 `_row` and searched for its rank by `_rank`; a class whose rows would
 exceed `MAX_ROW_BITS` is refused before any is built. Query selection
-visits the members in index order, pruning by the incumbent's column,
-and answers a three-member subclass in closed form. The graph reads the
-difference points of a concept pair off the XOR of the cache's point
-bits, memoizes the chosen query per subclass, and keeps the last integer
-edge table it built, which `verify`'s checks and
-:func:`find_deficient_cycle` read.
+opens at the member whose own labels drop the least mass-weighted
+dimension, which is the answer on every star subclass (one whose split
+points each leave one member alone), visits the others in index order,
+pruning by the incumbent's column, and answers a three-member subclass
+in closed form. The graph reads the difference points of a concept pair
+off the XOR of the cache's point bits, memoizes the chosen query per
+subclass, and keeps the last integer edge table it built, which
+`verify`'s checks and :func:`find_deficient_cycle` read.
 """
 
 from __future__ import annotations
@@ -232,24 +234,26 @@ class QueryGraph:
         others = self._spread(mask ^ 1 << i) << (self._width - 1)
         if not others:
             return math.inf
-        return Fraction(*self._rank(*self._row(self._layout(mask), i), others, mask.bit_count()))
+        a, b, _ = self._rank(*self._row(self._layout(mask), i), others, mask.bit_count())
+        return Fraction(a, b)
 
-    def _rank(self, nums: int, dens: int, others: int, count: int) -> tuple[int, int]:
+    def _rank(self, nums: int, dens: int, others: int, count: int) -> tuple[int, int, int]:
         """Integer (N, D) of the lightest lane of the row (nums, dens) among
-        the lane top bits `others`, nonempty, of a subclass of `count`
-        members.
+        the lane top bits `others`, nonempty, and the index of that lane,
+        the lowest among the lightest; `count` exceeds the lanes of
+        `others` by one.
 
         The search starts at the lowest lane of `others` and jumps to the
         lowest lane strictly below the current one, the lowest top bit of
         a * D - N * b + bias, until no lane is lighter. Each step moves to
-        a strictly lighter lane, so it takes at most count - 1 of them; a
+        a strictly lighter lane, so it takes at most count - 2 of them; a
         search that runs past them raises AssertionError.
         """
         width, lane, bias = self._width, self._lane, self._bias
         below = others & -others
         for _ in range(count):
             if not below:
-                return a, b
+                return a, b, shift // width
             shift = below.bit_length() - width
             a, b = nums >> shift & lane, dens >> shift & lane
             below = (a * dens - nums * b + bias) & others
@@ -260,20 +264,29 @@ class QueryGraph:
         """Index of the max-min query in the subclass, lowest index on ties.
 
         A row beats the incumbent rank a/b iff every other member's lane
-        of N * b - a * D + bias has its top bit set. Candidates are the
-        top bits of the members' lanes, visited in index order; the first
-        member, and each later one whose row beats the incumbent, becomes
-        the incumbent, so ties keep the lower index, and `_rank` finds its
-        rank. Then the incumbent's column (see `_layout`) against its own
-        D row, D being symmetric, keeps only the candidates whose edge
-        into it weighs strictly more than a/b: rank(j) <= d(j, i), so the
-        others cannot strictly beat a/b, and ranks only rise, so each
-        filter stays valid under the later ones. Two distinct concepts
+        of N * b - a * D + bias has its top bit set; adding `all`, 1 in
+        every lane, turns the test into N * b >= a * D. The scan opens at
+        the lowest member of least S, the lane of `_layout`'s F that
+        `_rank` finds on (F, all), and then visits the other candidates,
+        the top bits of the members' lanes, in index order. A candidate
+        whose row beats the incumbent, or ties it from a lower index,
+        becomes the incumbent, and `_rank` finds its rank. Then the
+        incumbent's column (see `_layout`) against its own D row, D being
+        symmetric, keeps only the candidates whose edge into it weighs
+        more than a/b, or as much from a lower index: rank(j) <= d(j, i),
+        so the others cannot beat the incumbent, and incumbents only
+        improve, in rank and then in lower index, so each filter stays
+        valid under the later ones. Whichever member opens the scan, it
+        ends at the lowest index of greatest rank. Two distinct concepts
         weigh 1 both ways, so a subclass of one or two concepts takes its
-        lowest index. Three distinct concepts split only where one stands
-        alone, so d(i, j) = w_j / (w_i + w_j) for w_x the mass where x
-        does: members of least w rank at least 1/2, the others below, and
-        a three-member subclass takes the lowest index of least w.
+        lowest index. Call a subclass of three or more a star when each
+        of its split points leaves one member alone, with w_x the mass
+        where x does: its ldim is 1, so S_x = w_x and d(i, j) = w_j / (w_i
+        + w_j). Members of least w rank at least 1/2 and the others
+        below, so the query of a star is the lowest index of least w: the
+        scan opens there and its column drops every other member. Three
+        distinct concepts always form a star, which takes that rule in
+        closed form.
         """
         if mask == 0:
             raise ValueError("no query exists for the empty class")
@@ -295,20 +308,24 @@ class QueryGraph:
         width, lane, bias, full, total = self._width, self._lane, self._bias, self._all, layout[3]
         row, rank = self._row, self._rank
         tops = todo = self._spread(mask) << (width - 1)
+        # the first incumbent: the lowest member of least S, lane of F
+        low = 1 << rank(total, full, tops, count + 1)[2] * width + width - 1
         best_i = a = b = -1
-        while todo:
-            low = todo & -todo
+        while low:
             todo ^= low
             i = low.bit_length() // width - 1
             nums, dens = row(layout, i)
             others = tops ^ low
-            if best_i >= 0 and (nums * b - a * dens + bias) & others != others:
-                continue
-            best_i = i
-            a, b = rank(nums, dens, others, count)
-            # lane j of the column is N of the edge (j, i)
-            column = nums + (total >> i * width & lane) * full - total
-            todo &= column * b - a * dens + bias
+            # a member below the incumbent beats it at an equal rank too
+            tie = full if i < best_i else 0
+            if best_i < 0 or (nums * b - a * dens + bias + tie) & others == others:
+                best_i = i
+                a, b, _ = rank(nums, dens, others, count)
+                # lane j of the column is N of the edge (j, i); the members
+                # below i stay at an equal weight
+                column = nums + (total >> i * width & lane) * full - total
+                todo &= column * b - a * dens + bias + (full & (1 << i * width) - 1)
+            low = todo & -todo
         self._best[mask] = best_i
         return best_i
 

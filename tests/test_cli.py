@@ -243,6 +243,26 @@ def test_staged_tiny_prior_ratio_exits_3_before_drawing():
     assert "Traceback" not in proc.stderr
 
 
+def test_staged_star_prefixes_reach_the_point_cap_within_seconds():
+    # the interval prefixes before the refused one are stars, each
+    # concept alone on its own atom beside a rest atom: the max-min scan
+    # opens at the member of least mass and builds no other row
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "thicket.cli", "staged", "--prior-geometric", "1/100",
+         "--trials", "5"],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert proc.returncode == 3
+    assert not proc.stdout
+    assert (
+        "a prefix of 276 intervals atomizes to 277 points; at most 256 are supported"
+        in proc.stderr
+    )
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "options, digest",
     [

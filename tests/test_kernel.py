@@ -31,6 +31,7 @@ from thicket import (
     ldim,
 )
 from thicket.generate import random_class
+from thicket.learner import derive_seed
 
 
 @pytest.fixture
@@ -194,30 +195,51 @@ class _Reads(list):
 
 
 def _ref_visits(oracle, sub, mu, ranks):
-    """The members whose rows the pruned scan builds: in index order,
-    skipping every member whose edge into an incumbent weighs at most
-    that incumbent's rank."""
-    best, visited, pruned = None, [], set()
-    for j in range(len(sub)):
+    """The members whose rows the scan builds, and the tie rules that
+    kept a member in it: "row" when a lower member took over at an equal
+    rank, "column" when an incumbent kept a lower member whose edge into
+    it weighs its rank.
+
+    The first incumbent is the lowest member of least S, the mu-weighted
+    drops of its own labels; the rest follow in index order. A member
+    beats the incumbent at a higher rank, or at an equal one from a lower
+    index. An incumbent drops every member whose edge into it weighs
+    less than its rank, or as much from a higher index."""
+    dim = oracle.ref_ldim(sub)
+    own = [
+        sum(
+            mu[p] * (dim - oracle.ref_ldim([c for c in sub if c[p] == x[p]]))
+            for p in range(len(x))
+        )
+        for x in sub
+    ]
+    first = own.index(min(own))
+    best, visited, pruned, ties = None, [], set(), set()
+    for j in [first] + [k for k in range(len(sub)) if k != first]:
         if j in pruned:
             continue
         visited.append(j)
-        if best is None or ranks[j] > ranks[best]:
+        if best is None or ranks[j] > ranks[best] or ranks[j] == ranks[best] and j < best:
+            if best is not None and ranks[j] == ranks[best]:
+                ties.add("row")
             best = j
-            pruned |= {
-                k for k in range(j + 1, len(sub))
-                if oracle.ref_edge_weight(sub, mu, k, j) <= ranks[j]
-            }
-    return visited
+            for k in set(range(len(sub))) - set(visited):
+                weight = oracle.ref_edge_weight(sub, mu, k, j)
+                if weight < ranks[j] or weight == ranks[j] and k > j:
+                    pruned.add(k)
+                elif weight == ranks[j]:
+                    ties.add("column")
+    return visited, first, ties
 
 
 @pytest.mark.parametrize("mu", [None, (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))])
 def test_max_min_ties_and_pruning_on_every_three_point_subclass(oracle, mu):
-    # a member whose edge into an incumbent equals the incumbent's rank
-    # cannot strictly beat it, so the scan drops it unvisited and the
-    # lower index keeps the tie; `_dens` is read once per visited member,
-    # and not at all for three members, which take the closed form
-    boundary = 0
+    # the scan opens at the lowest member of least S and visits the rest
+    # in index order; a member whose edge into an incumbent equals the
+    # incumbent's rank is dropped unvisited above it and kept below it,
+    # where it wins a tie of ranks; `_dens` is read once per visited
+    # member, and not at all for three members, which take the closed form
+    boundary, seen = 0, set()
     weights = mu or [Fraction(1, 3)] * 3
     for cc in all_three_point_classes():
         cc = mk_class(_bits(c.bits for c in cc.concepts), mu=mu)
@@ -233,13 +255,16 @@ def test_max_min_ties_and_pruning_on_every_three_point_subclass(oracle, mu):
                 assert graph._dens.read == [], (cc.concepts, mask)
             if len(members) > 3:
                 ranks = [oracle.ref_rank(sub, weights, a) for a in range(len(sub))]
-                visits = _ref_visits(oracle, sub, weights, ranks)
+                visits, first, ties = _ref_visits(oracle, sub, weights, ranks)
                 assert graph._dens.read == [members[j] for j in visits], (cc.concepts, mask)
+                seen |= ties | ({"lifted"} if first else set())
                 boundary += any(
                     oracle.ref_edge_weight(sub, weights, k, best) == ranks[best]
                     for k in range(best + 1, len(sub))
                 )
     assert boundary > 0
+    # a first incumbent above the lowest member, and both tie rules taken
+    assert seen == {"lifted", "row", "column"}
 
 
 @pytest.mark.parametrize("weights", ["uniform", "integer"])
@@ -267,6 +292,55 @@ def test_three_member_subclass_queries_the_member_alone_on_the_least_mass(oracle
             rule = alone.index(min(alone))
             assert graph.best_query(mask) == members[rule] == members[oracle.ref_max_min(sub, mu)]
     assert nowhere > 0
+
+
+@pytest.mark.parametrize("k", range(14))
+def test_star_subclass_reads_one_row_the_max_min_query(oracle, k):
+    # one-hot concepts on 4-10 points plus a rest point none of them
+    # labels: a member of least S, here the mass of the point where it
+    # stands alone, is the max-min query, and its column drops the rest
+    # unvisited; odd cases add the all-zero member, alone nowhere
+    rng = random.Random(f"star {k}")
+    n = 4 + k // 2
+    patterns = [tuple(int(p == i) for p in range(n + 1)) for i in range(n)]
+    patterns += [(0,) * (n + 1)] * (k % 2)
+    raw = [rng.randint(1, 4) for _ in range(n + 1)]
+    mu = [Fraction(w, sum(raw)) for w in raw]
+    graph = QueryGraph(mk_class(_bits(patterns), mu=mu))
+    graph._dens = _Reads(graph._dens)
+    masks = [m for m in range(graph.cache.full_mask + 1) if m.bit_count() >= 4]
+    for mask in masks:
+        members = _members(mask)
+        best = members[oracle.ref_max_min([patterns[i] for i in members], mu)]
+        del graph._dens.read[:]
+        assert graph.best_query(mask) == best, mask
+        assert graph._dens.read == [best], mask
+
+
+# exact-deep's first three classes at seed 0, learned for c0: the exact
+# expectation and the rows, rank searches and layouts its scans make,
+# one rank search per layout opening the scan at the member of least S
+DEEP_WORK = [
+    (Fraction(3750077190371, 953754541740), {"_row": 84, "_rank": 142, "_layout": 68}),
+    (Fraction(402824519, 136667817), {"_row": 32, "_rank": 60, "_layout": 29}),
+    (Fraction(7438148407, 3092815440), {"_row": 32, "_rank": 49, "_layout": 23}),
+]
+
+
+@pytest.mark.parametrize("k", range(len(DEEP_WORK)))
+def test_exact_deep_classes_pin_the_work_of_the_max_min_scan(k):
+    cc = random_class(random.Random(derive_seed(0, k)), 10, 64, 10, 64)
+    graph = QueryGraph(cc)
+    counts = dict.fromkeys(DEEP_WORK[k][1], 0)
+    for name in counts:
+
+        def counted(*args, real=getattr(graph, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        setattr(graph, name, counted)
+    assert exact_expected_queries(cc, cc.concepts[0], graph) == DEEP_WORK[k][0]
+    assert counts == DEEP_WORK[k][1]
 
 
 def block_class(blocks):
