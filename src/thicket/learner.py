@@ -423,26 +423,21 @@ def monte_carlo_trials(
     random.Random(derive_seed(seed, i)), so any single trial can be
     replayed in isolation: its query count is that of run_thicket_learner
     with that generator. The trials walk one transition table and count
-    queries without building a transcript; when the first query is the
-    target, they reseed nothing.
+    queries without building a transcript.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     table, mask = _start(concept_class, target, graph)
     start = table[mask]
     counts: dict[int, int] = {}
-    if start is None:
-        # every trial is the one confirming query and draws nothing
-        counts[1] = trials
-    else:
-        for rng in _trial_generators(seed, trials):
-            variate = rng.getrandbits
-            step, n = start, 1
-            while step is not None:
-                _, _, running, successors = step
-                step = table[successors[bisect_right(running, variate(64) * running[-1] >> 64)]]
-                n += 1
-            counts[n] = counts.get(n, 0) + 1
+    for rng in _trial_generators(seed, trials):
+        variate = rng.getrandbits
+        step, n = start, 1
+        while step is not None:
+            _, _, running, successors = step
+            step = table[successors[bisect_right(running, variate(64) * running[-1] >> 64)]]
+            n += 1
+        counts[n] = counts.get(n, 0) + 1
     return TrialSummary(
         seed=seed,
         histogram=tuple(sorted(counts.items())),

@@ -194,14 +194,22 @@ def test_monte_carlo_first_query_target_draws_nothing(monkeypatch):
     first = graph.best_query(graph.cache.full_mask)
     patterns = [c.bits for c in cc.concepts]
     assert oracle_histogram(patterns, cc.domain.mu, first, 25, 6) == ((1, 25),)
-    # every trial is the one confirming query: no generator is reseeded
+    # every trial still reseeds the generator, which must never be asked to draw
+    seeded = []
 
-    def generators(seed, trials):
-        raise AssertionError("a run whose first query is the target reseeds nothing")
+    class NoDraws:
+        def getrandbits(self, bits):
+            raise AssertionError("a trial whose first query is the target draws nothing")
+
+    def generators(seed, trials, real=learner._trial_generators):
+        for rng in real(seed, trials):
+            seeded.append(rng.getstate())
+            yield NoDraws()
 
     monkeypatch.setattr(learner, "_trial_generators", generators)
     s = monte_carlo_trials(cc, cc.concepts[first], 25, 6, graph)
     assert s.histogram == ((1, 25),)
+    assert seeded == [random.Random(derive_seed(6, i)).getstate() for i in range(25)]
 
 
 def test_monte_carlo_boundary_variate_passes_to_the_next_point(monkeypatch):
